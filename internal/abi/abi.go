@@ -349,30 +349,49 @@ const (
 	SYS_max // sentinel
 )
 
+// syscallNames maps each trap to its string name, the name the async
+// transport uses.
+var syscallNames = [SYS_max]string{
+	SYS_open: "open", SYS_close: "close", SYS_read: "read",
+	SYS_write: "write", SYS_pread: "pread", SYS_pwrite: "pwrite",
+	SYS_llseek: "llseek", SYS_stat: "stat", SYS_lstat: "lstat",
+	SYS_fstat: "fstat", SYS_access: "access", SYS_readlink: "readlink",
+	SYS_utimes: "utimes", SYS_unlink: "unlink", SYS_mkdir: "mkdir",
+	SYS_rmdir: "rmdir", SYS_getdents: "getdents", SYS_rename: "rename",
+	SYS_dup2: "dup2", SYS_ftruncate: "ftruncate", SYS_pipe2: "pipe2",
+	SYS_spawn: "spawn", SYS_fork: "fork", SYS_exec: "exec",
+	SYS_wait4: "wait4", SYS_exit: "exit", SYS_kill: "kill",
+	SYS_signal: "signal", SYS_getpid: "getpid", SYS_getppid: "getppid",
+	SYS_getcwd: "getcwd", SYS_chdir: "chdir", SYS_socket: "socket",
+	SYS_bind: "bind", SYS_listen: "listen", SYS_accept: "accept",
+	SYS_connect: "connect", SYS_getsockname: "getsockname", SYS_symlink: "symlink",
+	SYS_readv: "readv", SYS_writev: "writev", SYS_fsync: "fsync",
+	SYS_readg: "readg", SYS_unlease: "unlease",
+	SYS_wgalloc: "wgalloc", SYS_writeg: "writeg",
+	SYS_poll: "poll", SYS_setfl: "setfl",
+}
+
+// syscallTraps is the inverse of syscallNames.
+var syscallTraps = func() map[string]int {
+	m := make(map[string]int, SYS_max)
+	for trap, name := range syscallNames {
+		if name != "" {
+			m[name] = trap
+		}
+	}
+	return m
+}()
+
 // SyscallName maps a sync-transport syscall number to its string name, the
 // same name used on the async transport.
 func SyscallName(n int) string {
-	names := [...]string{
-		SYS_open: "open", SYS_close: "close", SYS_read: "read",
-		SYS_write: "write", SYS_pread: "pread", SYS_pwrite: "pwrite",
-		SYS_llseek: "llseek", SYS_stat: "stat", SYS_lstat: "lstat",
-		SYS_fstat: "fstat", SYS_access: "access", SYS_readlink: "readlink",
-		SYS_utimes: "utimes", SYS_unlink: "unlink", SYS_mkdir: "mkdir",
-		SYS_rmdir: "rmdir", SYS_getdents: "getdents", SYS_rename: "rename",
-		SYS_dup2: "dup2", SYS_ftruncate: "ftruncate", SYS_pipe2: "pipe2",
-		SYS_spawn: "spawn", SYS_fork: "fork", SYS_exec: "exec",
-		SYS_wait4: "wait4", SYS_exit: "exit", SYS_kill: "kill",
-		SYS_signal: "signal", SYS_getpid: "getpid", SYS_getppid: "getppid",
-		SYS_getcwd: "getcwd", SYS_chdir: "chdir", SYS_socket: "socket",
-		SYS_bind: "bind", SYS_listen: "listen", SYS_accept: "accept",
-		SYS_connect: "connect", SYS_getsockname: "getsockname", SYS_symlink: "symlink",
-		SYS_readv: "readv", SYS_writev: "writev", SYS_fsync: "fsync",
-		SYS_readg: "readg", SYS_unlease: "unlease",
-		SYS_wgalloc: "wgalloc", SYS_writeg: "writeg",
-		SYS_poll: "poll", SYS_setfl: "setfl",
-	}
-	if n > 0 && n < len(names) && names[n] != "" {
-		return names[n]
+	if n > 0 && n < SYS_max {
+		return syscallNames[n]
 	}
 	return fmt.Sprintf("sys(%d)", n)
 }
+
+// SyscallTrap is the inverse of SyscallName: the trap number an
+// async-transport call name denotes, or 0 for a name that is no system
+// call.
+func SyscallTrap(name string) int { return syscallTraps[name] }

@@ -48,8 +48,7 @@ const direntHeader = 12
 func PackDirents(buf []byte, ents []Dirent) (n int, consumed int) {
 	le := binary.LittleEndian
 	for _, e := range ents {
-		rec := direntHeader + len(e.Name)
-		rec = (rec + 3) &^ 3
+		rec := direntRecLen(e.Name)
 		if n+rec > len(buf) {
 			break
 		}
@@ -65,6 +64,19 @@ func PackDirents(buf []byte, ents []Dirent) (n int, consumed int) {
 	}
 	return n, consumed
 }
+
+// DirentsSize is the packed size of ents: what a getdents into a large
+// enough buffer returns.
+func DirentsSize(ents []Dirent) int {
+	n := 0
+	for _, e := range ents {
+		n += direntRecLen(e.Name)
+	}
+	return n
+}
+
+// direntRecLen is the 4-byte-aligned record length of one entry.
+func direntRecLen(name string) int { return (direntHeader + len(name) + 3) &^ 3 }
 
 // UnpackDirents decodes records written by PackDirents.
 func UnpackDirents(buf []byte) []Dirent {

@@ -790,18 +790,6 @@ func SplitCmdline(cmdline string) []string {
 // Deprecated: use StartProcess (or the public browsix.Instance.Start),
 // which carries env, cwd, and stdin and reports spawn errors precisely.
 func (k *Kernel) System(cmdline string, onExit func(pid, code int), onStdout, onStderr func([]byte)) {
-	k.system(cmdline, false, onExit, onStdout, onStderr)
-}
-
-// SystemInteractive is System with standard input kept open; the returned
-// Console writes to it. It backs the terminal case study (§5.1.2).
-//
-// Deprecated: use StartProcess with KeepStdin.
-func (k *Kernel) SystemInteractive(cmdline string, onExit func(pid, code int), onStdout, onStderr func([]byte)) *Console {
-	return k.system(cmdline, true, onExit, onStdout, onStderr)
-}
-
-func (k *Kernel) system(cmdline string, keepStdin bool, onExit func(pid, code int), onStdout, onStderr func([]byte)) *Console {
 	drop := func(cb func([]byte)) func([]byte) {
 		if cb == nil {
 			return nil
@@ -813,9 +801,8 @@ func (k *Kernel) system(cmdline string, keepStdin bool, onExit func(pid, code in
 			}
 		}
 	}
-	return k.StartProcess(ProcSpec{
-		Argv:      SplitCmdline(cmdline),
-		KeepStdin: keepStdin,
+	k.StartProcess(ProcSpec{
+		Argv: SplitCmdline(cmdline),
 		OnStart: func(pid int, err abi.Errno) {
 			if err != abi.OK {
 				onExit(0, 127) // legacy contract: launch failure looks like exit 127

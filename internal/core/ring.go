@@ -159,9 +159,8 @@ func batchableCall(c pendingCall) bool {
 // consecutive fs metadata calls resolve through FS.MetaBatch — one pass
 // against the dentry cache for the whole run — and everything else goes
 // through the transport-independent dispatchCall. The scalar transport
-// enters here with batch size 1 (dispatchSync), and the async transport
-// reaches the same FS.StatBatch/MetaBatch entry point through
-// FS.Stat/Lstat/Access (batches of one), so all three transports execute
+// enters here with batch size 1 (dispatchSync), and a lone path lookup on
+// any transport is a MetaBatch of one, so all three transports execute
 // identical file-system code.
 func (k *Kernel) dispatchBatch(t *Task, calls []pendingCall, done func(seq uint32, ret int64, err abi.Errno)) {
 	i := 0
@@ -196,88 +195,103 @@ func (k *Kernel) dispatchBatch(t *Task, calls []pendingCall, done func(seq uint3
 				continue
 			}
 		}
-		c := calls[i]
-		k.dispatchCall(t, c.trap, c.args, func(ret int64, err abi.Errno) {
-			done(c.seq, ret, err)
-		})
+		k.dispatchCall(t, calls[i].trap, t.frameCall(calls[i], done))
 		i++
 	}
 }
 
-// dispatchMetaRun decodes a run of stat/lstat/access/readlink/open
-// frames and resolves them with a single FS.MetaBatch call — one dentry
-// cache pass for the whole run — then completes each frame exactly as
-// dispatchCall would have.
+// dispatchMetaRun resolves a run of stat/lstat/access/readlink/open
+// frames with a single FS.MetaBatch call — one dentry cache pass for the
+// whole run — decoding and completing each frame exactly as a lone
+// dispatchCall does.
 func (k *Kernel) dispatchMetaRun(t *Task, run []pendingCall, done func(uint32, int64, abi.Errno)) {
-	arg := func(c pendingCall, i int) int64 {
-		if i < len(c.args) {
-			return c.args[i]
-		}
-		return 0
-	}
-	reqs := make([]fs.MetaReq, len(run))
+	ms := make([]metaCall, len(run))
 	for i, c := range run {
-		path := t.abs(t.heapStr(arg(c, 0), arg(c, 1)))
-		switch c.trap {
-		case abi.SYS_stat:
-			reqs[i] = fs.MetaReq{Kind: fs.MetaStat, Path: path}
-		case abi.SYS_lstat:
-			reqs[i] = fs.MetaReq{Kind: fs.MetaLstat, Path: path}
-		case abi.SYS_access:
-			reqs[i] = fs.MetaReq{Kind: fs.MetaAccess, Path: path}
-		case abi.SYS_readlink:
-			reqs[i] = fs.MetaReq{Kind: fs.MetaReadlink, Path: path}
-		case abi.SYS_open:
-			reqs[i] = fs.MetaReq{Kind: fs.MetaOpen, Path: path,
-				Flags: int(arg(c, 2)), Mode: uint32(arg(c, 3))}
-		}
+		ms[i] = k.decodeMeta(t, c.trap, t.frameCall(c, done))
 	}
 	k.FSBatchedCalls.Add(int64(len(run)))
+	k.resolveMeta(t, ms)
+}
+
+// metaCall is a decoded path-lookup call: the FS.MetaBatch element it
+// resolves through, where its result lands, and any failure found before
+// resolution.
+type metaCall struct {
+	c   call
+	req fs.MetaReq
+	out dst
+	err abi.Errno
+}
+
+// decodeMeta reads a stat, lstat, access, readlink or open call.
+func (k *Kernel) decodeMeta(t *Task, trap int, c call) metaCall {
+	m := metaCall{c: c, req: fs.MetaReq{Path: t.abs(c.str())}}
+	switch trap {
+	case abi.SYS_stat:
+		m.req.Kind, m.out = fs.MetaStat, c.out(abi.StatSize)
+	case abi.SYS_lstat:
+		m.req.Kind, m.out = fs.MetaLstat, c.out(abi.StatSize)
+	case abi.SYS_access:
+		m.req.Kind = fs.MetaAccess
+		c.num() // mode: FS.Access checks existence only
+	case abi.SYS_readlink:
+		// The buffer is checked before the path resolves, so a bad
+		// length fails the same way alone and batched.
+		m.req.Kind, m.out = fs.MetaReadlink, c.outBuf()
+	case abi.SYS_open:
+		m.req.Kind = fs.MetaOpen
+		m.req.Flags, m.req.Mode = int(c.num()), uint32(c.num())
+	}
+	m.err = c.bad()
+	return m
+}
+
+// resolveMeta resolves decoded path-lookup calls through one
+// FS.MetaBatch and completes them in order. A lone call is a batch of
+// one, which walks exactly as FS.Stat/Readlink/Open would.
+func (k *Kernel) resolveMeta(t *Task, ms []metaCall) {
+	reqs := make([]fs.MetaReq, 0, len(ms))
+	for _, m := range ms {
+		if m.err == abi.OK {
+			reqs = append(reqs, m.req)
+		}
+	}
 	k.FS.MetaBatch(reqs, func(res []fs.MetaRes) {
-		for i, c := range run {
-			r := res[i]
-			switch c.trap {
-			case abi.SYS_stat, abi.SYS_lstat:
-				if r.Err == abi.OK {
-					var buf [abi.StatSize]byte
-					abi.PackStat(buf[:], r.St)
-					t.heapWrite(arg(c, 2), buf[:])
-				}
-				done(c.seq, 0, r.Err)
-			case abi.SYS_access:
-				done(c.seq, 0, r.Err)
-			case abi.SYS_readlink:
-				if r.Err != abi.OK {
-					done(c.seq, -1, r.Err)
-					break
-				}
-				bufLen := arg(c, 3)
-				if bufLen < 0 {
-					done(c.seq, -1, abi.EINVAL)
-					break
-				}
-				b := []byte(r.Target)
-				if int64(len(b)) > bufLen {
-					b = b[:bufLen]
-				}
-				t.heapWrite(arg(c, 2), b)
-				done(c.seq, int64(len(b)), abi.OK)
-			case abi.SYS_open:
-				if r.Err != abi.OK {
-					done(c.seq, -1, r.Err)
-					break
-				}
-				flags := int(arg(c, 2))
-				path := reqs[i].Path
-				if r.Handle == nil {
-					// Directory: same split as doOpen.
-					done(c.seq, int64(t.installFd(NewDesc(&dirFile{fs: k.FS, path: path}, flags, path))), abi.OK)
-					break
-				}
-				done(c.seq, int64(t.installFd(NewDesc(newFSFile(r.Handle, flags), flags, path))), abi.OK)
+		for _, m := range ms {
+			if m.err != abi.OK {
+				m.c.done(-1, m.err)
+				continue
 			}
+			k.completeMeta(t, m, res[0])
+			res = res[1:]
 		}
 	})
+}
+
+// completeMeta delivers one resolved path-lookup call's result.
+func (k *Kernel) completeMeta(t *Task, m metaCall, r fs.MetaRes) {
+	switch m.req.Kind {
+	case fs.MetaStat, fs.MetaLstat:
+		m.c.replyStat(m.out, r.St, r.Err)
+	case fs.MetaAccess:
+		m.c.done(0, r.Err)
+	case fs.MetaReadlink:
+		if int64(len(r.Target)) > m.out.len {
+			r.Target = r.Target[:m.out.len]
+		}
+		m.c.replyStr(m.out, r.Target, r.Err)
+	case fs.MetaOpen:
+		if r.Err != abi.OK {
+			m.c.done(-1, r.Err)
+			return
+		}
+		// fs.metaOpen made the open split: a nil handle is a directory.
+		var f File = &dirFile{fs: k.FS, path: m.req.Path}
+		if r.Handle != nil {
+			f = newFSFile(r.Handle, m.req.Flags)
+		}
+		m.c.done(int64(t.installFd(NewDesc(f, m.req.Flags, m.req.Path))), abi.OK)
+	}
 }
 
 // ringReply queues one completion into the reply ring. During a drain

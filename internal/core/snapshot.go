@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/abi"
-	"repro/internal/browser"
 	"repro/internal/snapshot"
 )
 
@@ -76,9 +75,11 @@ func (k *Kernel) releaseTaskSnapshot(t *Task) {
 
 // doSnapcap handles the "snapcap" registration call: freeze the calling
 // task's post-boot state as its executable's snapshot image.
-func (k *Kernel) doSnapcap(t *Task, ringOK, poolOK bool, scratchTop int64, reply func(...browser.Value)) {
+// Args: ringOK, poolOK, scratchTop.
+func (k *Kernel) doSnapcap(t *Task, c *msgCall) {
+	ringOK, poolOK, scratchTop := c.num() != 0, c.num() != 0, c.num()
 	if k.Snapshots == nil || k.DisableSnapshots || k.Snapshots.Sealed() || t.script == nil {
-		reply(int64(-1), errv(abi.ENOSYS))
+		c.done(-1, abi.ENOSYS)
 		return
 	}
 	img := snapshot.NewImage(t.Path, t.script)
@@ -94,39 +95,40 @@ func (k *Kernel) doSnapcap(t *Task, ringOK, poolOK bool, scratchTop int64, reply
 	}
 	if !k.Snapshots.Register(img) {
 		img.Release()
-		reply(int64(-1), errv(abi.EAGAIN))
+		c.done(-1, abi.EAGAIN)
 		return
 	}
 	k.SnapshotCaptures.Add(1)
-	reply(int64(0), errv(abi.OK))
+	c.done(0, abi.OK)
 }
 
 // doRestore handles a clone boot's combined "restore" registration:
 // personality (heap + offsets), ring regions, and the page-pool mapping
 // land in one round trip, because the restored heap bytes already hold
 // the layout the image's capture negotiated. Reply layout:
-// [ret, errno, ringAccepted, poolAccepted, poolSAB?].
-func (k *Kernel) doRestore(t *Task, a []browser.Value, argInt func(int) int64, reply func(...browser.Value)) {
-	sab, _ := a[0].(*browser.SAB)
+// [ret, errno, ringAccepted, poolAccepted, poolSAB?]. Args: heap,
+// retOff, waitOff, wantRing, reqOff, reqLen, repOff, repLen, wantPool.
+func (k *Kernel) doRestore(t *Task, c *msgCall) {
+	sab := c.sab()
 	if sab == nil || t.snapImage == nil {
-		reply(int64(-1), errv(abi.EINVAL))
+		c.done(-1, abi.EINVAL)
 		return
 	}
-	t.heap = sab
-	t.retOff = int(argInt(1))
-	t.waitOff = int(argInt(2))
+	t.heap, t.retOff, t.waitOff = sab, int(c.num()), int(c.num())
+	wantRing := c.num() != 0
+	reqOff, reqLen, repOff, repLen := c.num(), c.num(), c.num(), c.num()
 	ringAccepted := int64(0)
-	if argInt(3) != 0 {
-		if err := k.registerRing(t, argInt(4), argInt(5), argInt(6), argInt(7)); err == abi.OK {
+	if wantRing {
+		if err := k.registerRing(t, reqOff, reqLen, repOff, repLen); err == abi.OK {
 			ringAccepted = 1
 		}
 	}
-	if argInt(8) != 0 && !k.DisableZeroCopy && t.ring != nil {
+	if c.num() != 0 && !k.DisableZeroCopy && t.ring != nil {
 		t.pool = true
-		reply(int64(0), errv(abi.OK), ringAccepted, int64(1), k.pagePoolSAB())
+		c.reply(int64(0), int64(abi.OK), ringAccepted, int64(1), k.pagePoolSAB())
 		return
 	}
-	reply(int64(0), errv(abi.OK), ringAccepted, int64(0))
+	c.reply(int64(0), int64(abi.OK), ringAccepted, int64(0))
 }
 
 // CheckpointLive checkpoints a running guest with bounded pause: the

@@ -4,20 +4,25 @@ import (
 	"strings"
 
 	"repro/internal/abi"
-	"repro/internal/fs"
 )
 
-// Synchronous system-call transport (§3.2). Arguments are "just integers
-// and integer offsets (representing pointers) into the shared memory
-// array". String arguments arrive as (ptr, len) pairs; output buffers as
-// (ptr, len). For calls like pread, "data is copied directly from the
-// filesystem, pipe or socket into the process's heap, avoiding a
-// potentially large allocation and extra copy".
+// The kernel's one system-call dispatch table (dispatchCall), shared by
+// every transport (§3.2), plus the synchronous transport's heap access
+// and completion.
+//
+// On the synchronous transport, arguments are "just integers and integer
+// offsets (representing pointers) into the shared memory array": strings
+// and buffers arrive as (ptr, len) pairs, which heapCall (call.go)
+// bounds-checks and reads through heapStr/heapBytes. For calls like
+// pread, "data is copied directly from the filesystem, pipe or socket
+// into the process's heap, avoiding a potentially large allocation and
+// extra copy" (heapWrite).
 //
 // Completion protocol: the kernel writes ret (int64) at the task's
 // registered retOff and errno (int32) at retOff+8, stores 1 into the wake
 // cell, and Atomics.notify's it. The process zeroes the wake cell before
-// each call and Atomics.wait's on it.
+// each call and Atomics.wait's on it. The ring transport (ring.go)
+// completes through reply frames instead.
 
 // heapStr reads a (ptr,len) string argument out of the task's heap.
 func (t *Task) heapStr(ptr, n int64) string {
@@ -91,511 +96,262 @@ func (k *Kernel) dispatchSync(t *Task, trap int, a []int64) {
 	})
 }
 
-// dispatchCall decodes and executes a heap-addressed system call. It is
-// transport-independent: the scalar sync path and the ring transport both
-// feed it, differing only in how done delivers the completion (wake-cell
-// store vs reply-ring frame).
-func (k *Kernel) dispatchCall(t *Task, trap int, a []int64, done func(int64, abi.Errno)) {
-	arg := func(i int) int64 {
-		if i < len(a) {
-			return a[i]
-		}
-		return 0
-	}
-
+// dispatchCall executes one system call, whichever transport carried it:
+// the switch reads arguments and delivers results through c, so each
+// trap has exactly one case. Where the transports' encodings differ
+// (read data, stat records, dirents...), the difference is a reply
+// method on call.
+func (k *Kernel) dispatchCall(t *Task, trap int, c call) {
 	switch trap {
-	case abi.SYS_open:
-		k.doOpen(t, t.heapStr(arg(0), arg(1)), int(arg(2)), uint32(arg(3)), func(fd int, err abi.Errno) {
-			done(int64(fd), err)
-		})
+	case abi.SYS_open, abi.SYS_stat, abi.SYS_lstat, abi.SYS_access, abi.SYS_readlink:
+		// Path lookups resolve through FS.MetaBatch, alone as here or as
+		// a drained ring run (dispatchMetaRun).
+		k.resolveMeta(t, []metaCall{k.decodeMeta(t, trap, c)})
 	case abi.SYS_close:
-		t.closeFd(int(arg(0)), func(err abi.Errno) { done(0, err) })
+		t.closeFd(int(c.num()), func(err abi.Errno) { c.done(0, err) })
 	case abi.SYS_read:
-		d, err := t.lookFd(int(arg(0)))
-		if err != abi.OK {
-			done(-1, err)
-			return
+		if d, b := fdArg(t, c), c.buf(); !failed(c) {
+			d.file.Read(d, int(b.len), func(data []byte, err abi.Errno) { c.replyData(b, data, err) })
 		}
-		ptr := arg(1)
-		d.file.Read(d, int(arg(2)), func(data []byte, err abi.Errno) {
-			if err == abi.OK {
-				t.heapWrite(ptr, data)
-				k.ReadCopiedBytes.Add(int64(len(data)))
-			}
-			done(int64(len(data)), err)
-		})
-	case abi.SYS_readg:
-		// Read-with-grant: the zero-copy read path's single kernel entry.
-		// A warm page-cache hit on the ring transport answers with pinned
-		// page leases; everything else — cold pages, pipes, the scalar
-		// transport, DisableZeroCopy — falls through to the copy path
-		// below, producing byte-identical results with one payload copy.
-		//
-		// Args: fd, bufPtr, bufLen (the caller's staging buffer — the
-		// copy fallback's cap), grantPtr, maxGrants, wantN (the full
-		// request). wantN may far exceed bufLen: grants are not bounded
-		// by the caller's staging region, so a warm multi-megabyte read
-		// is one crossing where the copy path must loop — the structural
-		// win of the mapping. A cold oversized read degrades to a short
-		// (bufLen) result, which POSIX read permits.
-		d, err := t.lookFd(int(arg(0)))
-		if err != abi.OK {
-			done(-1, err)
-			return
-		}
-		bufPtr, bufLen, grantPtr, maxGrants := arg(1), int(arg(2)), arg(3), int(arg(4))
-		want := int(arg(5))
-		if want <= 0 {
-			want = bufLen
-		}
-		if bufLen < 0 || want < 0 || maxGrants < 0 || maxGrants > 4096 {
-			done(-1, abi.EINVAL)
-			return
-		}
-		resolve := func() {
-			if t.pool && t.ring != nil && !k.DisableZeroCopy {
-				if rf, ok := d.file.(refReader); ok {
-					if refs, ok := rf.ReadRef(d, want, maxGrants); ok {
-						k.LeaseGrants.Add(int64(len(refs)))
-						grants := make([]abi.PageGrant, len(refs))
-						var granted int64
-						for i, r := range refs {
-							if t.leases == nil {
-								t.leases = map[int]int{}
-							}
-							t.leases[r.Slot]++
-							grants[i] = abi.PageGrant{
-								Slot: uint32(r.Slot), Len: uint32(r.Len),
-								Off: r.Off, Gen: r.Gen,
-							}
-							granted += int64(r.Len)
-						}
-						k.GrantedBytes.Add(granted)
-						buf := make([]byte, abi.GrantAreaSize(len(grants)))
-						abi.PackGrantReply(buf, abi.GrantMapped, grants)
-						t.heapWrite(grantPtr, buf)
-						done(granted, abi.OK)
-						return
-					}
-				}
-			}
-			readGather(d, bufLen, func(segs [][]byte, rerr abi.Errno) {
-				if rerr != abi.OK {
-					done(-1, rerr)
-					return
-				}
-				var hdr [abi.GrantHdrSize]byte
-				abi.PackGrantReply(hdr[:], abi.GrantCopied, nil)
-				t.heapWrite(grantPtr, hdr[:])
-				var total int64
-				for _, s := range segs {
-					t.heapWrite(bufPtr+total, s)
-					total += int64(len(s))
-				}
-				k.ReadCopiedBytes.Add(total)
-				done(total, abi.OK)
-			})
-		}
-		// A readg against an empty pipe parks a grant-capable notify
-		// instead of resolving now: ReadRef refuses an empty pipe, and
-		// falling straight to readGather would park a copying splice —
-		// every byte of a lockstep pipeline (the reader usually blocks
-		// first) would then cross by copy. Parking the *resolution* keeps
-		// the grant attempt first once data arrives.
-		if pe, ok := d.file.(*pipeEnd); ok && pe.reader {
-			pe.p.readNotify(resolve)
-			return
-		}
-		resolve()
-	case abi.SYS_unlease:
-		// Lease reclaim: return page leases taken by earlier readg
-		// grants. ret counts the leases actually returned; unknown slots
-		// are ignored (a lease can also have been reclaimed by exit).
-		ptr, cnt := arg(0), arg(1)
-		if cnt < 0 || cnt > 4096 {
-			done(-1, abi.EINVAL)
-			return
-		}
-		slots := abi.UnpackSlots(t.heapBytes(ptr, cnt*4), int(cnt))
-		var freed int64
-		for _, s := range slots {
-			slot := int(s)
-			if t.leases[slot] == 0 {
-				continue
-			}
-			t.leases[slot]--
-			if t.leases[slot] == 0 {
-				delete(t.leases, slot)
-			}
-			// A write-staging lease retires on its first return: the fs
-			// side releases staging ownership then too, so later writeg
-			// references to the slot must already be refused.
-			delete(t.wstaged, slot)
-			k.FS.UnleasePage(slot)
-			k.LeaseReturns.Add(1)
-			freed++
-		}
-		done(freed, abi.OK)
 	case abi.SYS_write:
-		d, err := t.lookFd(int(arg(0)))
-		if err != abi.OK {
-			done(-1, err)
-			return
+		// The payload is kernel-owned, so ownership can transfer to the
+		// file (zero-copy into pipes).
+		if d, data := fdArg(t, c), c.payload(); !failed(c) {
+			writeMoved(d, data, func(n int, err abi.Errno) { c.done(int64(n), err) })
 		}
-		// heapBytes returns a fresh copy, so ownership can transfer to
-		// the file (zero-copy into pipes).
-		data := t.heapBytes(arg(1), arg(2))
-		k.WriteCopiedBytes.Add(int64(len(data)))
-		writeMoved(d, data, func(n int, err abi.Errno) {
-			done(int64(n), err)
-		})
-	case abi.SYS_wgalloc:
-		// Write-grant allocation: lease empty staging slots for the
-		// zero-copy write path. Args: count, grantPtr.
-		k.doWgalloc(t, int(arg(0)), arg(1), done)
-	case abi.SYS_writeg:
-		// Write-by-reference: payload already staged in leased slots;
-		// only the 12-byte references cross the heap. Args: fd, refPtr,
-		// refCnt.
-		cnt := arg(2)
-		if cnt <= 0 || cnt > 1024 {
-			done(-1, abi.EINVAL)
-			return
-		}
-		wrefs := abi.UnpackWriteRefs(t.heapBytes(arg(1), cnt*abi.WriteRefSize), int(cnt))
-		refs := make([]fs.SlotRef, len(wrefs))
-		for i, r := range wrefs {
-			refs[i] = fs.SlotRef{Slot: int(r.Slot), Off: int(r.Off), Len: int(r.Len)}
-		}
-		k.doWriteg(t, int(arg(0)), refs, done)
 	case abi.SYS_readv:
-		d, err := t.lookFd(int(arg(0)))
-		if err != abi.OK {
-			done(-1, err)
+		d, iovs := fdArg(t, c), c.iovecs()
+		if failed(c) {
 			return
 		}
-		cnt, ivp := arg(2), arg(1)
-		if cnt <= 0 || cnt > 1024 {
-			done(-1, abi.EINVAL)
+		total := 0
+		for _, iov := range iovs {
+			total += int(iov.Len)
+		}
+		if total == 0 {
+			c.done(0, abi.OK)
 			return
 		}
-		// Overflow-safe bounds test: cnt is capped, so the subtraction
-		// can't wrap the way ivp+cnt*IovecSize could.
-		if ivp < 0 || ivp > int64(t.heap.Len())-cnt*abi.IovecSize {
-			done(-1, abi.EFAULT)
-			return
-		}
-		k.doReadv(t, d, abi.UnpackIovecs(t.heapBytes(ivp, cnt*abi.IovecSize), int(cnt)), done)
+		readGather(d, total, func(segs [][]byte, err abi.Errno) {
+			if err != abi.OK {
+				c.done(-1, err)
+				return
+			}
+			c.replySegs(iovs, segs)
+		})
 	case abi.SYS_writev:
-		d, err := t.lookFd(int(arg(0)))
-		if err != abi.OK {
-			done(-1, err)
-			return
+		if d, bufs := fdArg(t, c), c.payloads(); !failed(c) {
+			writevBufs(d, bufs, c.done)
 		}
-		cnt, ivp := arg(2), arg(1)
-		if cnt <= 0 || cnt > 1024 {
-			done(-1, abi.EINVAL)
-			return
-		}
-		if ivp < 0 || ivp > int64(t.heap.Len())-cnt*abi.IovecSize {
-			done(-1, abi.EFAULT)
-			return
-		}
-		k.doWritev(t, d, abi.UnpackIovecs(t.heapBytes(ivp, cnt*abi.IovecSize), int(cnt)), done)
 	case abi.SYS_pread:
-		d, err := t.lookFd(int(arg(0)))
-		if err != abi.OK {
-			done(-1, err)
-			return
+		if d, b, off := fdArg(t, c), c.buf(), c.num(); !failed(c) {
+			d.file.Pread(off, int(b.len), func(data []byte, err abi.Errno) { c.replyData(b, data, err) })
 		}
-		ptr := arg(1)
-		d.file.Pread(arg(3), int(arg(2)), func(data []byte, err abi.Errno) {
-			if err == abi.OK {
-				t.heapWrite(ptr, data)
-				k.ReadCopiedBytes.Add(int64(len(data)))
-			}
-			done(int64(len(data)), err)
-		})
 	case abi.SYS_pwrite:
-		d, err := t.lookFd(int(arg(0)))
-		if err != abi.OK {
-			done(-1, err)
-			return
+		if d, data, off := fdArg(t, c), c.payload(), c.num(); !failed(c) {
+			d.file.Pwrite(off, data, func(n int, err abi.Errno) { c.done(int64(n), err) })
 		}
-		pdata := t.heapBytes(arg(1), arg(2))
-		k.WriteCopiedBytes.Add(int64(len(pdata)))
-		d.file.Pwrite(arg(3), pdata, func(n int, err abi.Errno) {
-			done(int64(n), err)
-		})
 	case abi.SYS_llseek:
-		d, err := t.lookFd(int(arg(0)))
-		if err != abi.OK {
-			done(-1, err)
-			return
+		if d, off, whence := fdArg(t, c), c.num(), c.num(); !failed(c) {
+			d.file.Seek(d, off, int(whence), c.done)
 		}
-		d.file.Seek(d, arg(1), int(arg(2)), func(off int64, err abi.Errno) { done(off, err) })
 	case abi.SYS_ftruncate:
-		d, err := t.lookFd(int(arg(0)))
-		if err != abi.OK {
-			done(-1, err)
-			return
+		if d, size := fdArg(t, c), c.num(); !failed(c) {
+			d.file.Truncate(size, func(err abi.Errno) { c.done(0, err) })
 		}
-		d.file.Truncate(arg(1), func(err abi.Errno) { done(0, err) })
 	case abi.SYS_fsync:
-		d, err := t.lookFd(int(arg(0)))
-		if err != abi.OK {
-			done(-1, err)
-			return
-		}
-		syncFile(d.file, func(err abi.Errno) { done(0, err) })
-	case abi.SYS_stat, abi.SYS_lstat:
-		statPtr := arg(2)
-		cb := func(st abi.Stat, err abi.Errno) {
-			if err == abi.OK {
-				var buf [abi.StatSize]byte
-				abi.PackStat(buf[:], st)
-				t.heapWrite(statPtr, buf[:])
-			}
-			done(0, err)
-		}
-		p := t.abs(t.heapStr(arg(0), arg(1)))
-		if trap == abi.SYS_stat {
-			k.FS.Stat(p, cb)
-		} else {
-			k.FS.Lstat(p, cb)
+		if d := fdArg(t, c); !failed(c) {
+			syncFile(d.file, func(err abi.Errno) { c.done(0, err) })
 		}
 	case abi.SYS_fstat:
-		d, err := t.lookFd(int(arg(0)))
-		if err != abi.OK {
-			done(-1, err)
-			return
+		if d, o := fdArg(t, c), c.out(abi.StatSize); !failed(c) {
+			d.file.Stat(func(st abi.Stat, err abi.Errno) { c.replyStat(o, st, err) })
 		}
-		statPtr := arg(1)
-		d.file.Stat(func(st abi.Stat, err abi.Errno) {
-			if err == abi.OK {
-				var buf [abi.StatSize]byte
-				abi.PackStat(buf[:], st)
-				t.heapWrite(statPtr, buf[:])
-			}
-			done(0, err)
-		})
-	case abi.SYS_access:
-		k.FS.Access(t.abs(t.heapStr(arg(0), arg(1))), int(arg(2)), func(err abi.Errno) { done(0, err) })
-	case abi.SYS_readlink:
-		bufPtr, bufLen := arg(2), arg(3)
-		if bufLen < 0 {
-			done(-1, abi.EINVAL)
-			return
-		}
-		k.FS.Readlink(t.abs(t.heapStr(arg(0), arg(1))), func(target string, err abi.Errno) {
-			if err != abi.OK {
-				done(-1, err)
-				return
-			}
-			b := []byte(target)
-			if int64(len(b)) > bufLen {
-				b = b[:bufLen]
-			}
-			t.heapWrite(bufPtr, b)
-			done(int64(len(b)), abi.OK)
-		})
-	case abi.SYS_utimes:
-		k.FS.Utimes(t.abs(t.heapStr(arg(0), arg(1))), arg(2), arg(3), func(err abi.Errno) { done(0, err) })
-	case abi.SYS_unlink:
-		k.FS.Unlink(t.abs(t.heapStr(arg(0), arg(1))), func(err abi.Errno) { done(0, err) })
-	case abi.SYS_mkdir:
-		k.FS.Mkdir(t.abs(t.heapStr(arg(0), arg(1))), uint32(arg(2)), func(err abi.Errno) { done(0, err) })
-	case abi.SYS_rmdir:
-		k.FS.Rmdir(t.abs(t.heapStr(arg(0), arg(1))), func(err abi.Errno) { done(0, err) })
-	case abi.SYS_symlink:
-		target := t.heapStr(arg(0), arg(1))
-		k.FS.Symlink(target, t.abs(t.heapStr(arg(2), arg(3))), func(err abi.Errno) { done(0, err) })
-	case abi.SYS_rename:
-		k.FS.Rename(t.abs(t.heapStr(arg(0), arg(1))), t.abs(t.heapStr(arg(2), arg(3))), func(err abi.Errno) { done(0, err) })
 	case abi.SYS_getdents:
-		d, err := t.lookFd(int(arg(0)))
-		if err != abi.OK {
-			done(-1, err)
-			return
+		if d, o := fdArg(t, c), c.outBuf(); !failed(c) {
+			d.file.Getdents(d, func(ents []abi.Dirent, err abi.Errno) { c.replyDirents(d, o, ents, err) })
 		}
-		bufPtr, bufLen := arg(1), arg(2)
-		if bufLen < 0 {
-			done(-1, abi.EINVAL)
-			return
+	case abi.SYS_utimes:
+		if p, atime, mtime := c.str(), c.num(), c.num(); !failed(c) {
+			k.FS.Utimes(t.abs(p), atime, mtime, func(err abi.Errno) { c.done(0, err) })
 		}
-		d.file.Getdents(d, func(ents []abi.Dirent, err abi.Errno) {
-			if err != abi.OK {
-				done(-1, err)
-				return
-			}
-			buf := make([]byte, bufLen)
-			n, consumed := abi.PackDirents(buf, ents)
-			if consumed == 0 && len(ents) > 0 {
-				// Buffer too small for even one record: an empty result
-				// would read as end-of-directory (silent truncation).
-				// Rewind the cursor and fail, as Linux getdents does.
-				d.off -= int64(len(ents))
-				done(-1, abi.EINVAL)
-				return
-			}
-			if consumed < len(ents) {
-				// The guest's buffer was smaller than the chunk: hand the
-				// unpacked tail back to the directory cursor so the next
-				// getdents continues there.
-				d.off -= int64(len(ents) - consumed)
-			}
-			t.heapWrite(bufPtr, buf[:n])
-			done(int64(n), abi.OK)
-		})
+	case abi.SYS_unlink:
+		if p := c.str(); !failed(c) {
+			k.FS.Unlink(t.abs(p), func(err abi.Errno) { c.done(0, err) })
+		}
+	case abi.SYS_mkdir:
+		if p, mode := c.str(), c.num(); !failed(c) {
+			k.FS.Mkdir(t.abs(p), uint32(mode), func(err abi.Errno) { c.done(0, err) })
+		}
+	case abi.SYS_rmdir:
+		if p := c.str(); !failed(c) {
+			k.FS.Rmdir(t.abs(p), func(err abi.Errno) { c.done(0, err) })
+		}
+	case abi.SYS_symlink:
+		if target, link := c.str(), c.str(); !failed(c) {
+			k.FS.Symlink(target, t.abs(link), func(err abi.Errno) { c.done(0, err) })
+		}
+	case abi.SYS_rename:
+		if from, to := c.str(), c.str(); !failed(c) {
+			k.FS.Rename(t.abs(from), t.abs(to), func(err abi.Errno) { c.done(0, err) })
+		}
 	case abi.SYS_dup2:
-		done(arg(1), k.doDup2(t, int(arg(0)), int(arg(1))))
+		oldfd, newfd := c.num(), c.num()
+		c.done(newfd, k.doDup2(t, int(oldfd), int(newfd)))
 	case abi.SYS_pipe2:
-		rfd, wfd := k.doPipe2(t)
-		fdsPtr := arg(0)
-		var buf [8]byte
-		leAt(buf[:], 0).putU32(uint32(rfd))
-		leAt(buf[:], 4).putU32(uint32(wfd))
-		t.heapWrite(fdsPtr, buf[:])
-		done(0, abi.OK)
-	case abi.SYS_spawn:
-		path := t.heapStr(arg(0), arg(1))
-		argv := splitNul(t.heapStr(arg(2), arg(3)))
-		env := splitNul(t.heapStr(arg(4), arg(5)))
-		var files []int
-		if n := arg(7); n > 0 {
-			raw := t.heapBytes(arg(6), n*4)
-			for i := int64(0); i < n; i++ {
-				files = append(files, int(int32(uint32(raw[i*4])|uint32(raw[i*4+1])<<8|uint32(raw[i*4+2])<<16|uint32(raw[i*4+3])<<24)))
-			}
+		if o := c.out(8); !failed(c) {
+			rfd, wfd := k.doPipe2(t)
+			c.replyPipe(o, rfd, wfd)
 		}
-		k.doSpawn(t, path, argv, env, files, func(pid int, err abi.Errno) {
-			done(int64(pid), err)
-		})
+	case abi.SYS_spawn:
+		if path, argv, env, files := c.str(), c.strs(), c.strs(), c.ints(); !failed(c) {
+			k.doSpawn(t, path, argv, env, files, func(pid int, err abi.Errno) { c.done(int64(pid), err) })
+		}
 	case abi.SYS_fork:
 		// "fork is not compatible with synchronous system calls, as
 		// there is no way to re-wind or jump to a particular call stack
 		// in the child Web Worker" (§3.2).
-		done(-1, abi.ENOSYS)
+		if _, async := c.(*msgCall); !async {
+			c.done(-1, abi.ENOSYS)
+			return
+		}
+		img := &ForkImage{Mem: c.payload(), Label: c.str()}
+		k.doFork(t, img, func(pid int, err abi.Errno) { c.done(int64(pid), err) })
 	case abi.SYS_exec:
-		path := t.heapStr(arg(0), arg(1))
-		argv := splitNul(t.heapStr(arg(2), arg(3)))
-		env := splitNul(t.heapStr(arg(4), arg(5)))
-		k.doExec(t, path, argv, env, func(err abi.Errno) { done(-1, err) })
+		// Only failures complete the call; on success the old image is
+		// gone.
+		if path, argv, env := c.str(), c.strs(), c.strs(); !failed(c) {
+			k.doExec(t, path, argv, env, func(err abi.Errno) { c.done(-1, err) })
+		}
 	case abi.SYS_wait4:
-		statusPtr := arg(1)
-		k.doWait4(t, int(arg(0)), int(arg(2)), func(pid, status int, err abi.Errno) {
-			if err == abi.OK && statusPtr != 0 {
-				var buf [4]byte
-				leAt(buf[:], 0).putU32(uint32(int32(status)))
-				t.heapWrite(statusPtr, buf[:])
-			}
-			done(int64(pid), err)
-		})
+		if pid, o, options := c.num(), c.out(4), c.num(); !failed(c) {
+			k.doWait4(t, int(pid), int(options), func(pid, status int, err abi.Errno) { c.replyWait(o, pid, status, err) })
+		}
 	case abi.SYS_exit:
-		k.doExit(t, int(arg(0)))
+		k.doExit(t, int(c.num()))
 	case abi.SYS_kill:
-		done(0, k.doKill(int(arg(0)), int(arg(1))))
+		pid, sig := c.num(), c.num()
+		c.done(0, k.doKill(int(pid), int(sig)))
 	case abi.SYS_signal:
-		done(0, k.doSignalAction(t, int(arg(0)), int(arg(1))))
+		sig, action := c.num(), c.num()
+		c.done(0, k.doSignalAction(t, int(sig), int(action)))
 	case abi.SYS_getpid:
-		done(int64(t.Pid), abi.OK)
+		c.done(int64(t.Pid), abi.OK)
 	case abi.SYS_getppid:
-		done(int64(t.ParentPid), abi.OK)
+		c.done(int64(t.ParentPid), abi.OK)
 	case abi.SYS_getcwd:
-		b := []byte(t.cwd)
-		if int64(len(b)) > arg(1) {
-			done(-1, abi.ERANGE)
-			return
+		o := c.outBuf()
+		if int64(len(t.cwd)) > o.len {
+			c.fail(abi.ERANGE)
 		}
-		t.heapWrite(arg(0), b)
-		done(int64(len(b)), abi.OK)
+		if !failed(c) {
+			c.replyStr(o, t.cwd, abi.OK)
+		}
 	case abi.SYS_chdir:
-		k.doChdir(t, t.heapStr(arg(0), arg(1)), func(err abi.Errno) { done(0, err) })
+		if p := c.str(); !failed(c) {
+			k.doChdir(t, p, func(err abi.Errno) { c.done(0, err) })
+		}
 	case abi.SYS_socket:
-		done(int64(t.installFd(NewDesc(k.NewSocket(), abi.O_RDWR, "socket:"))), abi.OK)
+		c.done(int64(t.installFd(NewDesc(k.NewSocket(), abi.O_RDWR, "socket:"))), abi.OK)
 	case abi.SYS_bind:
-		s, err := t.sockFd(int(arg(0)))
-		if err != abi.OK {
-			done(-1, err)
-			return
+		if s, port := sockArg(t, c), c.num(); !failed(c) {
+			c.done(0, k.BindSocket(s, int(port)))
 		}
-		done(0, k.BindSocket(s, int(arg(1))))
 	case abi.SYS_listen:
-		s, err := t.sockFd(int(arg(0)))
-		if err != abi.OK {
-			done(-1, err)
-			return
+		if s, backlog := sockArg(t, c), c.num(); !failed(c) {
+			c.done(0, k.ListenSocket(s, int(backlog)))
 		}
-		done(0, k.ListenSocket(s, int(arg(1))))
 	case abi.SYS_accept:
-		// accept4-shaped: arg(1) carries flags. O_NONBLOCK there (or on
-		// the listener descriptor) makes the accept non-blocking, and the
-		// flag is inherited by the new connection's descriptor — so an
-		// event loop drains a whole backlog without a blocking edge.
-		d, err := t.lookFd(int(arg(0)))
-		if err != abi.OK {
-			done(-1, err)
+		// accept4-shaped: the second argument carries flags. O_NONBLOCK
+		// there (or on the listener descriptor) makes the accept
+		// non-blocking, and the flag is inherited by the new connection's
+		// descriptor — so an event loop drains a whole backlog without a
+		// blocking edge.
+		d, flags := fdArg(t, c), int(c.num())
+		var s *Socket
+		if d != nil {
+			if s, _ = d.file.(*Socket); s == nil {
+				c.fail(abi.ENOTSOCK)
+			}
+		}
+		if failed(c) {
 			return
 		}
-		s, ok := d.file.(*Socket)
-		if !ok {
-			done(-1, abi.ENOTSOCK)
-			return
-		}
-		connFlags := abi.O_RDWR | int(arg(1))&abi.O_NONBLOCK
-		nonblock := d.flags&abi.O_NONBLOCK != 0 || int(arg(1))&abi.O_NONBLOCK != 0
+		connFlags := abi.O_RDWR | flags&abi.O_NONBLOCK
+		nonblock := d.flags&abi.O_NONBLOCK != 0 || flags&abi.O_NONBLOCK != 0
 		k.AcceptSocket(s, nonblock, func(conn *Socket, err abi.Errno) {
 			if err != abi.OK {
-				done(-1, err)
+				c.done(-1, err)
 				return
 			}
-			done(int64(t.installFd(NewDesc(conn, connFlags, "socket:conn"))), abi.OK)
+			c.done(int64(t.installFd(NewDesc(conn, connFlags, "socket:conn"))), abi.OK)
 		})
 	case abi.SYS_connect:
-		s, err := t.sockFd(int(arg(0)))
-		if err != abi.OK {
-			done(-1, err)
-			return
+		if s, port := sockArg(t, c), c.num(); !failed(c) {
+			k.ConnectSocket(s, int(port), func(err abi.Errno) { c.done(0, err) })
 		}
-		k.ConnectSocket(s, int(arg(1)), func(err abi.Errno) { done(0, err) })
 	case abi.SYS_getsockname:
-		s, err := t.sockFd(int(arg(0)))
-		if err != abi.OK {
-			done(-1, err)
-			return
+		if s := sockArg(t, c); !failed(c) {
+			c.done(int64(s.port), abi.OK)
 		}
-		done(int64(s.port), abi.OK)
 	case abi.SYS_poll:
-		// Args: pollfd array ptr, nfds, timeout ns (-1 block, 0 probe).
-		// The kernel rewrites the staged array's revents in place and
-		// returns the ready count.
-		ptr, nfds, timeout := arg(0), arg(1), arg(2)
-		if nfds < 0 || nfds > 4096 ||
-			ptr < 0 || ptr > int64(t.heap.Len())-nfds*abi.PollfdSize {
-			done(-1, abi.EINVAL)
-			return
+		// Readiness over a pollfd array; timeout ns (-1 block, 0 probe).
+		// Returns the ready count; revents travel back by reply.
+		if fds, o := c.pollfds(); !failed(c) {
+			timeout := c.num()
+			k.doPoll(t, fds, timeout, func(n int, err abi.Errno) { c.replyPoll(o, fds, n, err) })
 		}
-		fds := abi.UnpackPollfds(t.heapBytes(ptr, nfds*abi.PollfdSize), int(nfds))
-		k.doPoll(t, fds, timeout, func(n int, err abi.Errno) {
-			if err == abi.OK {
-				buf := make([]byte, len(fds)*abi.PollfdSize)
-				abi.PackPollfds(buf, fds)
-				t.heapWrite(ptr, buf)
-			}
-			done(int64(n), err)
-		})
 	case abi.SYS_setfl:
 		// fcntl F_SETFL subset: only O_NONBLOCK is honored.
-		d, err := t.lookFd(int(arg(0)))
-		if err != abi.OK {
-			done(-1, err)
-			return
+		if d, flags := fdArg(t, c), int(c.num()); !failed(c) {
+			d.flags = d.flags&^abi.O_NONBLOCK | flags&abi.O_NONBLOCK
+			c.done(0, abi.OK)
 		}
-		d.flags = d.flags&^abi.O_NONBLOCK | int(arg(1))&abi.O_NONBLOCK
-		done(0, abi.OK)
+	case abi.SYS_readg:
+		if h := heapOnly(c); h != nil {
+			k.doReadg(t, h)
+		}
+	case abi.SYS_unlease:
+		if h := heapOnly(c); h != nil {
+			k.doUnlease(t, h)
+		}
+	case abi.SYS_wgalloc:
+		if h := heapOnly(c); h != nil {
+			k.doWgalloc(t, h)
+		}
+	case abi.SYS_writeg:
+		if h := heapOnly(c); h != nil {
+			k.doWriteg(t, h)
+		}
 	default:
-		done(-1, abi.ENOSYS)
+		c.done(-1, abi.ENOSYS)
 	}
+}
+
+// fdArg reads a descriptor argument; one that names no open descriptor
+// fails the call.
+func fdArg(t *Task, c call) *Desc {
+	d, err := t.lookFd(int(c.num()))
+	c.fail(err)
+	return d
+}
+
+// sockArg reads a descriptor argument that must be a socket.
+func sockArg(t *Task, c call) *Socket {
+	s, err := t.sockFd(int(c.num()))
+	c.fail(err)
+	return s
+}
+
+// heapOnly returns c's heap-backed form, completing a message-backed c
+// with ENOSYS: the grant calls move data through shared memory the
+// asynchronous transport does not have.
+func heapOnly(c call) *heapCall {
+	h, ok := c.(*heapCall)
+	if !ok {
+		c.done(-1, abi.ENOSYS)
+	}
+	return h
 }
 
 // splitNul splits a NUL-separated packed string list.

@@ -6,11 +6,14 @@ import (
 	"repro/internal/fs"
 )
 
-// This file is the kernel's system-call dispatcher: the asynchronous path
-// (postMessage with cloned arguments, continuation-style replies) and the
-// synchronous path (integer arguments; bulk data moved directly between
-// the kernel and the process's SharedArrayBuffer heap; completion via
-// Atomics.notify) — §3.2 of the paper.
+// This file is the kernel's system-call entry (§3.2). A process reaches
+// the kernel three ways: an asynchronous "syscall" message (cloned
+// arguments, continuation-style reply), a synchronous "sync" message
+// (integer arguments into the process's SharedArrayBuffer heap,
+// completion via Atomics.notify), or a ring doorbell (any number of
+// synchronous call frames behind one message, ring.go). All three
+// execute through the one trap-keyed dispatchCall (synccall.go); only
+// argument access and result delivery differ, behind call (call.go).
 
 // onWorkerMessage handles every message a process sends the kernel.
 func (k *Kernel) onWorkerMessage(t *Task, w *browser.Worker, v browser.Value) {
@@ -28,7 +31,7 @@ func (k *Kernel) onWorkerMessage(t *Task, w *browser.Worker, v browser.Value) {
 		id := browser.GetInt(m, "id")
 		name := browser.GetString(m, "name")
 		k.SyscallCount[name]++
-		k.dispatchAsync(t, name, browser.GetArray(m, "args"), func(ret ...browser.Value) {
+		c := &msgCall{args: browser.GetArray(m, "args"), reply: func(ret ...browser.Value) {
 			if t.worker != w || w.Terminated() {
 				return
 			}
@@ -37,7 +40,10 @@ func (k *Kernel) onWorkerMessage(t *Task, w *browser.Worker, v browser.Value) {
 				"id":   id,
 				"ret":  ret,
 			})
-		})
+		}}
+		if !k.control(t, name, c) {
+			k.dispatchCall(t, abi.SyscallTrap(name), c)
+		}
 	case "sync":
 		k.SyncSyscalls.Add(1)
 		k.Sys.Sim.Charge(k.CPU.SyscallNs)
@@ -46,14 +52,7 @@ func (k *Kernel) onWorkerMessage(t *Task, w *browser.Worker, v browser.Value) {
 		args := browser.GetArray(m, "args")
 		ia := make([]int64, len(args))
 		for i := range args {
-			switch x := args[i].(type) {
-			case int64:
-				ia[i] = x
-			case int:
-				ia[i] = int64(x)
-			case float64:
-				ia[i] = int64(x)
-			}
+			ia[i], _ = toInt(args[i])
 		}
 		k.dispatchSync(t, trap, ia)
 	case "ringbell":
@@ -65,6 +64,57 @@ func (k *Kernel) onWorkerMessage(t *Task, w *browser.Worker, v browser.Value) {
 	}
 }
 
+// control handles the transport-negotiation messages a runtime sends over
+// the async transport. They are not system calls — they set up how later
+// calls cross — so they keep their names. It reports whether name was
+// one.
+func (k *Kernel) control(t *Task, name string, c *msgCall) bool {
+	switch name {
+	case "personality":
+		// Sync-syscall registration (§3.2): heap + return-value offset
+		// + wake offset.
+		sab := c.sab()
+		if sab == nil {
+			c.done(-1, abi.EINVAL)
+			break
+		}
+		t.heap, t.retOff, t.waitOff = sab, int(c.num()), int(c.num())
+		c.done(0, abi.OK)
+	case "ring":
+		// Ring-transport negotiation (after personality): request and
+		// reply ring regions inside the registered heap.
+		reqOff, reqLen, repOff, repLen := c.num(), c.num(), c.num(), c.num()
+		if err := k.registerRing(t, reqOff, reqLen, repOff, repLen); err != abi.OK {
+			c.done(-1, err)
+			break
+		}
+		c.done(0, abi.OK)
+	case "pagepool":
+		// Page-pool negotiation (after the ring): the kernel shares its
+		// page-cache arena as a SharedArrayBuffer, and the process may
+		// issue readg calls answered with page grants against it.
+		// Refusal leaves the process on the copy path.
+		if k.DisableZeroCopy || t.heap == nil || t.ring == nil {
+			c.done(-1, abi.ENOSYS)
+			break
+		}
+		t.pool = true
+		c.reply(int64(0), int64(abi.OK), k.pagePoolSAB())
+	case "snapcap":
+		// Post-boot snapshot capture (internal/snapshot): the process
+		// reports its negotiated transport state and the kernel freezes
+		// its heap and fd/env/cwd template as the runtime's image.
+		k.doSnapcap(t, c)
+	case "restore":
+		// Clone-boot restore: one combined registration replacing the
+		// personality + ring + pagepool negotiation round trips.
+		k.doRestore(t, c)
+	default:
+		return false
+	}
+	return true
+}
+
 // abs resolves a process-relative path against the task's cwd,
 // preserving trailing-slash semantics (fs.Abs).
 func (t *Task) abs(p string) string { return fs.Abs(t.cwd, p) }
@@ -72,35 +122,6 @@ func (t *Task) abs(p string) string { return fs.Abs(t.cwd, p) }
 // ---------------------------------------------------------------------------
 // Transport-independent operations.
 // ---------------------------------------------------------------------------
-
-func (k *Kernel) doOpen(t *Task, p string, flags int, mode uint32, cb func(int, abi.Errno)) {
-	ap := t.abs(p)
-	k.FS.Stat(ap, func(st abi.Stat, serr abi.Errno) {
-		if serr == abi.OK && st.IsDir() {
-			if flags&abi.O_ACCMODE != abi.O_RDONLY {
-				cb(-1, abi.EISDIR)
-				return
-			}
-			cb(t.installFd(NewDesc(&dirFile{fs: k.FS, path: ap}, flags, ap)), abi.OK)
-			return
-		}
-		if flags&abi.O_DIRECTORY != 0 {
-			if serr != abi.OK {
-				cb(-1, serr)
-			} else {
-				cb(-1, abi.ENOTDIR)
-			}
-			return
-		}
-		k.FS.Open(ap, flags, mode, func(h fs.FileHandle, err abi.Errno) {
-			if err != abi.OK {
-				cb(-1, err)
-				return
-			}
-			cb(t.installFd(NewDesc(newFSFile(h, flags), flags, ap)), abi.OK)
-		})
-	})
-}
 
 func (k *Kernel) doPipe2(t *Task) (int, int) {
 	r, w := NewPipePair()
@@ -158,426 +179,6 @@ func (t *Task) sockFd(fd int) (*Socket, abi.Errno) {
 	return s, abi.OK
 }
 
-// ---------------------------------------------------------------------------
-// Asynchronous dispatch.
-// ---------------------------------------------------------------------------
-
-func errv(err abi.Errno) int64 { return int64(err) }
-
-// dispatchAsync decodes cloned-argument system calls and encodes replies
-// as [ret, errno, extra...] arrays.
-func (k *Kernel) dispatchAsync(t *Task, name string, a []browser.Value, reply func(...browser.Value)) {
-	argStr := func(i int) string {
-		if i < len(a) {
-			s, _ := a[i].(string)
-			return s
-		}
-		return ""
-	}
-	argInt := func(i int) int64 {
-		if i < len(a) {
-			switch x := a[i].(type) {
-			case int64:
-				return x
-			case int:
-				return int64(x)
-			case float64:
-				return int64(x)
-			}
-		}
-		return 0
-	}
-	argBytes := func(i int) []byte {
-		if i < len(a) {
-			b, _ := a[i].([]byte)
-			return b
-		}
-		return nil
-	}
-	argStrs := func(i int) []string {
-		if i < len(a) {
-			if arr, ok := a[i].([]browser.Value); ok {
-				return browser.Strings(arr)
-			}
-		}
-		return nil
-	}
-	argInts := func(i int) []int {
-		var out []int
-		if i < len(a) {
-			if arr, ok := a[i].([]browser.Value); ok {
-				for _, v := range arr {
-					switch x := v.(type) {
-					case int64:
-						out = append(out, int(x))
-					case int:
-						out = append(out, x)
-					case float64:
-						out = append(out, int(x))
-					}
-				}
-			}
-		}
-		return out
-	}
-
-	switch name {
-	case "personality":
-		// Sync-syscall registration (§3.2): heap + return-value offset
-		// + wake offset.
-		sab, _ := a[0].(*browser.SAB)
-		if sab == nil {
-			reply(int64(-1), errv(abi.EINVAL))
-			return
-		}
-		t.heap = sab
-		t.retOff = int(argInt(1))
-		t.waitOff = int(argInt(2))
-		reply(int64(0), errv(abi.OK))
-
-	case "ring":
-		// Ring-transport negotiation (after personality): request and
-		// reply ring regions inside the registered heap.
-		err := k.registerRing(t, argInt(0), argInt(1), argInt(2), argInt(3))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		reply(int64(0), errv(abi.OK))
-
-	case "pagepool":
-		// Page-pool negotiation (after the ring): the kernel shares its
-		// page-cache arena as a SharedArrayBuffer, and the process may
-		// issue readg calls answered with page grants against it.
-		// Refusal leaves the process on the copy path.
-		if k.DisableZeroCopy || t.heap == nil || t.ring == nil {
-			reply(int64(-1), errv(abi.ENOSYS))
-			return
-		}
-		t.pool = true
-		reply(int64(0), errv(abi.OK), k.pagePoolSAB())
-
-	case "snapcap":
-		// Post-boot snapshot capture (internal/snapshot): the process
-		// reports its negotiated transport state and the kernel freezes
-		// its heap and fd/env/cwd template as the runtime's image.
-		k.doSnapcap(t, argInt(0) != 0, argInt(1) != 0, argInt(2), reply)
-
-	case "restore":
-		// Clone-boot restore: one combined registration replacing the
-		// personality + ring + pagepool negotiation round trips.
-		k.doRestore(t, a, argInt, reply)
-
-	case "open":
-		k.doOpen(t, argStr(0), int(argInt(1)), uint32(argInt(2)), func(fd int, err abi.Errno) {
-			reply(int64(fd), errv(err))
-		})
-	case "close":
-		t.closeFd(int(argInt(0)), func(err abi.Errno) { reply(int64(0), errv(err)) })
-	case "read":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		d.file.Read(d, int(argInt(1)), func(data []byte, err abi.Errno) {
-			reply(int64(len(data)), errv(err), data)
-		})
-	case "write":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		// The cloned message's buffer is uniquely ours, so ownership can
-		// transfer to the file (zero-copy into pipes).
-		writeMoved(d, argBytes(1), func(n int, err abi.Errno) {
-			reply(int64(n), errv(err))
-		})
-	case "readv":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		lens := argInts(1)
-		if len(lens) > 1024 {
-			reply(int64(-1), errv(abi.EINVAL))
-			return
-		}
-		total := 0
-		for _, n := range lens {
-			if n < 0 {
-				reply(int64(-1), errv(abi.EINVAL))
-				return
-			}
-			total += n
-		}
-		readGather(d, total, func(segs [][]byte, rerr abi.Errno) {
-			if rerr != abi.OK {
-				reply(int64(-1), errv(rerr))
-				return
-			}
-			arr := make([]browser.Value, len(segs))
-			var n int64
-			for i, s := range segs {
-				arr[i] = s
-				n += int64(len(s))
-			}
-			reply(n, errv(abi.OK), arr)
-		})
-	case "writev":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		var bufs [][]byte
-		if 1 < len(a) {
-			if arr, ok := a[1].([]browser.Value); ok {
-				for _, v := range arr {
-					if b, ok := v.([]byte); ok && len(b) > 0 {
-						bufs = append(bufs, b)
-					}
-				}
-			}
-		}
-		writevBufs(d, bufs, func(n int64, werr abi.Errno) {
-			reply(n, errv(werr))
-		})
-	case "pread":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		d.file.Pread(argInt(2), int(argInt(1)), func(data []byte, err abi.Errno) {
-			reply(int64(len(data)), errv(err), data)
-		})
-	case "pwrite":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		d.file.Pwrite(argInt(2), argBytes(1), func(n int, err abi.Errno) {
-			reply(int64(n), errv(err))
-		})
-	case "llseek":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		d.file.Seek(d, argInt(1), int(argInt(2)), func(off int64, err abi.Errno) {
-			reply(off, errv(err))
-		})
-	case "ftruncate":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		d.file.Truncate(argInt(1), func(err abi.Errno) { reply(int64(0), errv(err)) })
-	case "fsync":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		syncFile(d.file, func(err abi.Errno) { reply(int64(0), errv(err)) })
-	case "fstat":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		d.file.Stat(func(st abi.Stat, err abi.Errno) {
-			reply(int64(0), errv(err), statValue(st))
-		})
-	case "stat":
-		k.FS.Stat(t.abs(argStr(0)), func(st abi.Stat, err abi.Errno) {
-			reply(int64(0), errv(err), statValue(st))
-		})
-	case "lstat":
-		k.FS.Lstat(t.abs(argStr(0)), func(st abi.Stat, err abi.Errno) {
-			reply(int64(0), errv(err), statValue(st))
-		})
-	case "access":
-		k.FS.Access(t.abs(argStr(0)), int(argInt(1)), func(err abi.Errno) {
-			reply(int64(0), errv(err))
-		})
-	case "readlink":
-		k.FS.Readlink(t.abs(argStr(0)), func(target string, err abi.Errno) {
-			reply(int64(len(target)), errv(err), target)
-		})
-	case "utimes":
-		k.FS.Utimes(t.abs(argStr(0)), argInt(1), argInt(2), func(err abi.Errno) {
-			reply(int64(0), errv(err))
-		})
-	case "unlink":
-		k.FS.Unlink(t.abs(argStr(0)), func(err abi.Errno) { reply(int64(0), errv(err)) })
-	case "rmdir":
-		k.FS.Rmdir(t.abs(argStr(0)), func(err abi.Errno) { reply(int64(0), errv(err)) })
-	case "mkdir":
-		k.FS.Mkdir(t.abs(argStr(0)), uint32(argInt(1)), func(err abi.Errno) {
-			reply(int64(0), errv(err))
-		})
-	case "rename":
-		k.FS.Rename(t.abs(argStr(0)), t.abs(argStr(1)), func(err abi.Errno) {
-			reply(int64(0), errv(err))
-		})
-	case "symlink":
-		k.FS.Symlink(argStr(0), t.abs(argStr(1)), func(err abi.Errno) {
-			reply(int64(0), errv(err))
-		})
-	case "getdents", "readdir":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		d.file.Getdents(d, func(ents []abi.Dirent, err abi.Errno) {
-			arr := make([]browser.Value, len(ents))
-			for i, e := range ents {
-				m := abi.DirentToMap(e)
-				vm := make(map[string]browser.Value, len(m))
-				for kk, vv := range m {
-					vm[kk] = vv
-				}
-				arr[i] = vm
-			}
-			reply(int64(len(ents)), errv(err), arr)
-		})
-	case "dup2":
-		err := k.doDup2(t, int(argInt(0)), int(argInt(1)))
-		reply(argInt(1), errv(err))
-	case "pipe2":
-		rfd, wfd := k.doPipe2(t)
-		reply(int64(0), errv(abi.OK), int64(rfd), int64(wfd))
-	case "spawn":
-		k.doSpawn(t, argStr(0), argStrs(1), argStrs(2), argInts(3), func(pid int, err abi.Errno) {
-			reply(int64(pid), errv(err))
-		})
-	case "fork":
-		img := &ForkImage{Mem: argBytes(0), Label: argStr(1)}
-		k.doFork(t, img, func(pid int, err abi.Errno) {
-			reply(int64(pid), errv(err))
-		})
-	case "exec":
-		k.doExec(t, argStr(0), argStrs(1), argStrs(2), func(err abi.Errno) {
-			// Only failures produce a reply; on success the old image
-			// is gone.
-			reply(int64(-1), errv(err))
-		})
-	case "wait4":
-		k.doWait4(t, int(argInt(0)), int(argInt(1)), func(pid, status int, err abi.Errno) {
-			reply(int64(pid), errv(err), int64(status))
-		})
-	case "exit":
-		k.doExit(t, int(argInt(0)))
-	case "kill":
-		reply(int64(0), errv(k.doKill(int(argInt(0)), int(argInt(1)))))
-	case "signal":
-		reply(int64(0), errv(k.doSignalAction(t, int(argInt(0)), int(argInt(1)))))
-	case "getpid":
-		reply(int64(t.Pid), errv(abi.OK))
-	case "getppid":
-		reply(int64(t.ParentPid), errv(abi.OK))
-	case "getcwd":
-		reply(int64(len(t.cwd)), errv(abi.OK), t.cwd)
-	case "chdir":
-		k.doChdir(t, argStr(0), func(err abi.Errno) { reply(int64(0), errv(err)) })
-
-	case "socket":
-		fd := t.installFd(NewDesc(k.NewSocket(), abi.O_RDWR, "socket:"))
-		reply(int64(fd), errv(abi.OK))
-	case "bind":
-		s, err := t.sockFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		reply(int64(0), errv(k.BindSocket(s, int(argInt(1)))))
-	case "listen":
-		s, err := t.sockFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		reply(int64(0), errv(k.ListenSocket(s, int(argInt(1)))))
-	case "accept":
-		// Optional second arg carries accept4-style flags: O_NONBLOCK
-		// makes this accept non-blocking and marks the new connection.
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		s, ok := d.file.(*Socket)
-		if !ok {
-			reply(int64(-1), errv(abi.ENOTSOCK))
-			return
-		}
-		connFlags := abi.O_RDWR | int(argInt(1))&abi.O_NONBLOCK
-		nonblock := d.flags&abi.O_NONBLOCK != 0 || int(argInt(1))&abi.O_NONBLOCK != 0
-		k.AcceptSocket(s, nonblock, func(conn *Socket, err abi.Errno) {
-			if err != abi.OK {
-				reply(int64(-1), errv(err))
-				return
-			}
-			fd := t.installFd(NewDesc(conn, connFlags, "socket:conn"))
-			reply(int64(fd), errv(abi.OK))
-		})
-	case "connect":
-		s, err := t.sockFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		k.ConnectSocket(s, int(argInt(1)), func(err abi.Errno) {
-			reply(int64(0), errv(err))
-		})
-	case "getsockname":
-		s, err := t.sockFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		reply(int64(s.port), errv(abi.OK))
-	case "poll":
-		// Args: flat [fd0, events0, fd1, events1, ...] array + timeout
-		// ns. Reply extra: flat [revents0, revents1, ...] array.
-		raw := argInts(0)
-		if len(raw)%2 != 0 || len(raw)/2 > 4096 {
-			reply(int64(-1), errv(abi.EINVAL))
-			return
-		}
-		fds := make([]abi.Pollfd, len(raw)/2)
-		for i := range fds {
-			fds[i] = abi.Pollfd{Fd: int32(raw[2*i]), Events: uint32(raw[2*i+1])}
-		}
-		k.doPoll(t, fds, argInt(1), func(n int, err abi.Errno) {
-			rev := make([]browser.Value, len(fds))
-			for i := range fds {
-				rev[i] = int64(fds[i].Revents)
-			}
-			reply(int64(n), errv(err), rev)
-		})
-	case "setfl":
-		d, err := t.lookFd(int(argInt(0)))
-		if err != abi.OK {
-			reply(int64(-1), errv(err))
-			return
-		}
-		d.flags = d.flags&^abi.O_NONBLOCK | int(argInt(1))&abi.O_NONBLOCK
-		reply(int64(0), errv(abi.OK))
-
-	default:
-		reply(int64(-1), errv(abi.ENOSYS))
-	}
-}
-
 // SyscallTable returns the implemented system calls grouped by class —
 // the contents of Figure 3 plus the extensions this reproduction adds
 // (marked by the caller as needed).
@@ -590,14 +191,4 @@ func SyscallTable() map[string][]string {
 		"File IO":            {"open", "close", "read", "write", "readv", "writev", "unlink", "llseek", "pread", "pwrite", "dup2", "ftruncate", "fsync", "rename", "symlink"},
 		"File Metadata":      {"access", "fstat", "lstat", "stat", "readlink", "utimes"},
 	}
-}
-
-// statValue converts a Stat into a message object.
-func statValue(st abi.Stat) map[string]browser.Value {
-	m := abi.StatToMap(st)
-	vm := make(map[string]browser.Value, len(m))
-	for k, v := range m {
-		vm[k] = v
-	}
-	return vm
 }

@@ -72,51 +72,6 @@ func readGather(d *Desc, total int, cb func([][]byte, abi.Errno)) {
 	})
 }
 
-// checkIovecs validates guest-supplied iovecs against the task's heap —
-// an out-of-range pointer must fail the call, not panic the kernel.
-func (t *Task) checkIovecs(iovs []abi.Iovec) abi.Errno {
-	if t.heap == nil {
-		return abi.EFAULT
-	}
-	hlen := int64(t.heap.Len())
-	for _, iov := range iovs {
-		// Ptr > hlen-Len rather than Ptr+Len > hlen: the sum can
-		// overflow for a hostile pointer; the subtraction cannot once
-		// Len is known to be in [0, hlen].
-		if iov.Ptr < 0 || iov.Len < 0 || iov.Len > hlen || iov.Ptr > hlen-iov.Len {
-			return abi.EFAULT
-		}
-	}
-	return abi.OK
-}
-
-// doReadv performs the readv system call against heap-addressed iovecs:
-// gather from the file (zero-copy for pipes), then scatter exactly once
-// into the process heap.
-func (k *Kernel) doReadv(t *Task, d *Desc, iovs []abi.Iovec, done func(int64, abi.Errno)) {
-	if err := t.checkIovecs(iovs); err != abi.OK {
-		done(-1, err)
-		return
-	}
-	total := 0
-	for _, iov := range iovs {
-		total += int(iov.Len)
-	}
-	if total == 0 {
-		done(0, abi.OK)
-		return
-	}
-	readGather(d, total, func(segs [][]byte, err abi.Errno) {
-		if err != abi.OK {
-			done(-1, err)
-			return
-		}
-		n := t.scatterHeap(iovs, segs)
-		k.ReadCopiedBytes.Add(int64(n))
-		done(int64(n), abi.OK)
-	})
-}
-
 // scatterHeap copies gathered segments into the iovec targets in order,
 // returning bytes written. This is the single per-byte copy (and charge)
 // of the vectored read path.
@@ -143,25 +98,6 @@ func (t *Task) scatterHeap(iovs []abi.Iovec, segs [][]byte) int {
 		}
 	}
 	return n
-}
-
-// doWritev performs the writev system call: gather each iovec out of the
-// heap (one copy — the buffers then belong to the kernel), and hand the
-// owned buffers to the file, in one call for vectored writers or
-// sequentially otherwise.
-func (k *Kernel) doWritev(t *Task, d *Desc, iovs []abi.Iovec, done func(int64, abi.Errno)) {
-	if err := t.checkIovecs(iovs); err != abi.OK {
-		done(-1, err)
-		return
-	}
-	bufs := make([][]byte, 0, len(iovs))
-	for _, iov := range iovs {
-		if iov.Len > 0 {
-			bufs = append(bufs, t.heapBytes(iov.Ptr, iov.Len))
-			k.WriteCopiedBytes.Add(iov.Len)
-		}
-	}
-	writevBufs(d, bufs, done)
 }
 
 // writevBufs writes kernel-owned buffers to a file, preferring the

@@ -14,9 +14,26 @@ func TestVectoredRejectsOutOfRangeIovecs(t *testing.T) {
 	sim := sched.New()
 	sys := browser.NewSystem(sim, browser.Chrome())
 	k := NewKernel(sys, nil, nil)
-	task := &Task{k: k, heap: browser.NewSAB(4096)}
-	_, w := NewPipePair()
-	d := NewDesc(w, abi.O_WRONLY, "w")
+	const ivp = 64 // where each case's iovec array is staged
+	task := &Task{k: k, heap: browser.NewSAB(4096), files: map[int]*Desc{}}
+	rd, wr := NewPipePair()
+	task.files[3] = NewDesc(rd, abi.O_RDONLY, "r")
+	task.files[4] = NewDesc(wr, abi.O_WRONLY, "w")
+
+	// dispatch runs one readv/writev frame over iovs and returns its errno.
+	dispatch := func(task *Task, trap int, fd int64, iovs []abi.Iovec) abi.Errno {
+		if task.heap != nil {
+			abi.PackIovecs(task.heap.Bytes()[ivp:], iovs)
+		}
+		var got abi.Errno = -1
+		sim.Post(sys.Main.Sched(), sim.Now(), func() {
+			c := &heapCall{t: task, args: []int64{fd, ivp, int64(len(iovs))},
+				fin: func(_ int64, err abi.Errno) { got = err }}
+			k.dispatchCall(task, trap, c)
+		})
+		sim.RunUntil(func() bool { return got != -1 })
+		return got
+	}
 
 	bad := [][]abi.Iovec{
 		{{Ptr: 4090, Len: 100}},                  // runs past the heap
@@ -28,25 +45,17 @@ func TestVectoredRejectsOutOfRangeIovecs(t *testing.T) {
 		{{Ptr: 0, Len: 16}, {Ptr: 4096, Len: 1}}, // second iovec bad
 	}
 	for i, iovs := range bad {
-		var got abi.Errno = -1
-		k.doWritev(task, d, iovs, func(ret int64, err abi.Errno) { got = err })
-		if got != abi.EFAULT {
+		if got := dispatch(task, abi.SYS_writev, 4, iovs); got != abi.EFAULT {
 			t.Errorf("writev case %d: err=%v, want EFAULT", i, got)
 		}
-		got = -1
-		rd, _ := NewPipePair()
-		dr := NewDesc(rd, abi.O_RDONLY, "r")
-		k.doReadv(task, dr, iovs, func(ret int64, err abi.Errno) { got = err })
-		if got != abi.EFAULT {
+		if got := dispatch(task, abi.SYS_readv, 3, iovs); got != abi.EFAULT {
 			t.Errorf("readv case %d: err=%v, want EFAULT", i, got)
 		}
 	}
 
 	// A task with no registered heap fails cleanly too.
-	bare := &Task{k: k}
-	var got abi.Errno = -1
-	k.doWritev(bare, d, []abi.Iovec{{Ptr: 0, Len: 8}}, func(ret int64, err abi.Errno) { got = err })
-	if got != abi.EFAULT {
+	bare := &Task{k: k, files: task.files}
+	if got := dispatch(bare, abi.SYS_writev, 4, []abi.Iovec{{Ptr: 0, Len: 8}}); got != abi.EFAULT {
 		t.Errorf("heapless writev: err=%v, want EFAULT", got)
 	}
 }

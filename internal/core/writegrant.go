@@ -5,8 +5,12 @@ import (
 	"repro/internal/fs"
 )
 
-// Kernel side of the zero-copy write path and the batched grant-read
-// dispatch — the data-plane complement of synccall.go's readg handler.
+// Kernel side of the zero-copy grant calls — readg, unlease, wgalloc and
+// writeg, which exist only on the heap-backed transports — and the
+// batched grant-read dispatch.
+//
+// Read direction: readg answers a warm page-cache hit with pinned page
+// leases instead of payload bytes; unlease returns them.
 //
 // Write direction: wgalloc leases the calling process *empty* page-pool
 // slots; the process stages payload bytes into them through its own
@@ -18,7 +22,7 @@ import (
 // a refusing handle — falls back to one kernel copy out of the arena,
 // byte-identical with the classic write path.
 //
-// Read direction: a drained doorbell carrying a run of readg frames
+// Batched reads: a drained doorbell carrying a run of readg frames
 // against one descriptor becomes a single vectored cache pass whose
 // grant list is split back across the frames — 64 sequential reads cost
 // one ReadRef and one wake instead of 64.
@@ -43,14 +47,20 @@ func (k *Kernel) writeGrantOK(t *Task) bool {
 // empty staging slots to the task and describe them in the grant-reply
 // area at grantPtr. Fewer than n (possibly zero) slots is a clean
 // answer — the guest degrades to the copy path for this write, not an
-// error. ENOSYS tells the guest to stop asking for good.
-func (k *Kernel) doWgalloc(t *Task, n int, grantPtr int64, done func(int64, abi.Errno)) {
+// error. ENOSYS tells the guest to stop asking for good. Args: n,
+// grantPtr.
+func (k *Kernel) doWgalloc(t *Task, c *heapCall) {
+	n, grantPtr := int(c.num()), c.num()
 	if !k.writeGrantOK(t) {
-		done(-1, abi.ENOSYS)
+		c.done(-1, abi.ENOSYS)
 		return
 	}
 	if n <= 0 || n > maxWgallocSlots || grantPtr < 0 {
-		done(-1, abi.EINVAL)
+		c.done(-1, abi.EINVAL)
+		return
+	}
+	c.check(grantPtr, int64(abi.GrantAreaSize(n)))
+	if failed(c) {
 		return
 	}
 	if room := maxStagedPerTask - len(t.wstaged); n > room {
@@ -79,33 +89,48 @@ func (k *Kernel) doWgalloc(t *Task, n int, grantPtr int64, done func(int64, abi.
 	buf := make([]byte, abi.GrantAreaSize(len(grants)))
 	abi.PackGrantReply(buf, abi.GrantMapped, grants)
 	t.heapWrite(grantPtr, buf)
-	done(int64(len(grants)), abi.OK)
+	c.done(int64(len(grants)), abi.OK)
 }
 
 // doWriteg services a write-by-reference: refs name staged payload
 // bytes in slots the task holds write-staging leases on. The referenced
 // bytes are adopted without copying when the descriptor supports it;
-// otherwise one copy out of the arena re-creates the classic write.
-func (k *Kernel) doWriteg(t *Task, fd int, refs []fs.SlotRef, done func(int64, abi.Errno)) {
+// otherwise one copy out of the arena re-creates the classic write. Only
+// the 12-byte references cross the heap. Args: fd, refPtr, refCnt.
+func (k *Kernel) doWriteg(t *Task, c *heapCall) {
+	fd := int(c.num())
+	_, raw := c.array(abi.WriteRefSize, 1024)
+	if failed(c) {
+		return
+	}
+	if len(raw) == 0 {
+		c.done(-1, abi.EINVAL)
+		return
+	}
+	wrefs := abi.UnpackWriteRefs(raw, len(raw)/abi.WriteRefSize)
+	refs := make([]fs.SlotRef, len(wrefs))
+	for i, r := range wrefs {
+		refs[i] = fs.SlotRef{Slot: int(r.Slot), Off: int(r.Off), Len: int(r.Len)}
+	}
 	if !k.writeGrantOK(t) {
-		done(-1, abi.ENOSYS)
+		c.done(-1, abi.ENOSYS)
 		return
 	}
 	d, err := t.lookFd(fd)
 	if err != abi.OK {
-		done(-1, err)
+		c.done(-1, err)
 		return
 	}
 	var total int64
 	for _, r := range refs {
 		if !k.FS.ValidSlotRef(r) || !t.wstaged[r.Slot] {
-			done(-1, abi.EINVAL)
+			c.done(-1, abi.EINVAL)
 			return
 		}
 		total += int64(r.Len)
 	}
 	if total == 0 {
-		done(0, abi.OK)
+		c.done(0, abi.OK)
 		return
 	}
 
@@ -120,7 +145,7 @@ func (k *Kernel) doWriteg(t *Task, fd int, refs []fs.SlotRef, done func(int64, a
 		k.Sys.Sim.Charge(int64(float64(total) * k.CPU.SyncByteNs))
 		k.WriteCopiedBytes.Add(total)
 		writeMoved(d, buf, func(n int, werr abi.Errno) {
-			done(int64(n), werr)
+			c.done(int64(n), werr)
 		})
 	}
 
@@ -145,7 +170,7 @@ func (k *Kernel) doWriteg(t *Task, fd int, refs []fs.SlotRef, done func(int64, a
 		}
 		k.WriteGrantedBytes.Add(total)
 		pe.WriteSlotSegs(segs, func(n int, werr abi.Errno) {
-			done(int64(n), werr)
+			c.done(int64(n), werr)
 		})
 		return
 	}
@@ -154,11 +179,140 @@ func (k *Kernel) doWriteg(t *Task, fd int, refs []fs.SlotRef, done func(int64, a
 			if werr == abi.OK {
 				k.WriteGrantedBytes.Add(int64(n))
 			}
-			done(int64(n), werr)
+			c.done(int64(n), werr)
 		}, fallback)
 		return
 	}
 	fallback()
+}
+
+// readgArgs is one decoded readg frame. Args: fd, bufPtr, bufLen (the
+// caller's staging buffer — the copy fallback's cap), grantPtr,
+// maxGrants, wantN (the full request). wantN may far exceed bufLen:
+// grants are not bounded by the caller's staging region, so a warm
+// multi-megabyte read is one crossing where the copy path must loop —
+// the structural win of the mapping. A cold oversized read degrades to a
+// short (bufLen) result, which POSIX read permits.
+type readgArgs struct {
+	fd        int
+	buf       dst
+	grantPtr  int64
+	maxGrants int
+	want      int
+}
+
+func decodeReadg(c *heapCall) readgArgs {
+	a := readgArgs{fd: int(c.num()), buf: c.buf(), grantPtr: c.num()}
+	a.maxGrants, a.want = int(c.num()), int(c.num())
+	if a.want <= 0 {
+		a.want = int(a.buf.len)
+	}
+	if a.want < 0 || a.maxGrants < 0 || a.maxGrants > 4096 {
+		c.fail(abi.EINVAL)
+	}
+	c.check(a.grantPtr, int64(abi.GrantAreaSize(a.maxGrants)))
+	return a
+}
+
+// doReadg is read-with-grant, the zero-copy read path's single kernel
+// entry. A warm page-cache hit on the ring transport answers with pinned
+// page leases; everything else — cold pages, pipes, the scalar
+// transport, DisableZeroCopy — falls through to the copy path, producing
+// byte-identical results with one payload copy.
+func (k *Kernel) doReadg(t *Task, c *heapCall) {
+	a := decodeReadg(c)
+	if failed(c) {
+		return
+	}
+	d, err := t.lookFd(a.fd)
+	if err != abi.OK {
+		c.done(-1, err)
+		return
+	}
+	resolve := func() {
+		if t.pool && t.ring != nil && !k.DisableZeroCopy {
+			if rf, ok := d.file.(refReader); ok {
+				if refs, ok := rf.ReadRef(d, a.want, a.maxGrants); ok {
+					k.LeaseGrants.Add(int64(len(refs)))
+					grants := make([]abi.PageGrant, len(refs))
+					var granted int64
+					for i, r := range refs {
+						if t.leases == nil {
+							t.leases = map[int]int{}
+						}
+						t.leases[r.Slot]++
+						grants[i] = abi.PageGrant{
+							Slot: uint32(r.Slot), Len: uint32(r.Len),
+							Off: r.Off, Gen: r.Gen,
+						}
+						granted += int64(r.Len)
+					}
+					k.GrantedBytes.Add(granted)
+					buf := make([]byte, abi.GrantAreaSize(len(grants)))
+					abi.PackGrantReply(buf, abi.GrantMapped, grants)
+					t.heapWrite(a.grantPtr, buf)
+					c.done(granted, abi.OK)
+					return
+				}
+			}
+		}
+		readGather(d, int(a.buf.len), func(segs [][]byte, rerr abi.Errno) {
+			if rerr != abi.OK {
+				c.done(-1, rerr)
+				return
+			}
+			var hdr [abi.GrantHdrSize]byte
+			abi.PackGrantReply(hdr[:], abi.GrantCopied, nil)
+			t.heapWrite(a.grantPtr, hdr[:])
+			var total int64
+			for _, s := range segs {
+				t.heapWrite(a.buf.ptr+total, s)
+				total += int64(len(s))
+			}
+			k.ReadCopiedBytes.Add(total)
+			c.done(total, abi.OK)
+		})
+	}
+	// A readg against an empty pipe parks a grant-capable notify
+	// instead of resolving now: ReadRef refuses an empty pipe, and
+	// falling straight to readGather would park a copying splice —
+	// every byte of a lockstep pipeline (the reader usually blocks
+	// first) would then cross by copy. Parking the *resolution* keeps
+	// the grant attempt first once data arrives.
+	if pe, ok := d.file.(*pipeEnd); ok && pe.reader {
+		pe.p.readNotify(resolve)
+		return
+	}
+	resolve()
+}
+
+// doUnlease reclaims page leases taken by earlier readg grants. ret
+// counts the leases actually returned; unknown slots are ignored (a
+// lease can also have been reclaimed by exit). Args: slotPtr, count.
+func (k *Kernel) doUnlease(t *Task, c *heapCall) {
+	_, raw := c.array(4, 4096)
+	if failed(c) {
+		return
+	}
+	var freed int64
+	for _, s := range abi.UnpackSlots(raw, len(raw)/4) {
+		slot := int(s)
+		if t.leases[slot] == 0 {
+			continue
+		}
+		t.leases[slot]--
+		if t.leases[slot] == 0 {
+			delete(t.leases, slot)
+		}
+		// A write-staging lease retires on its first return: the fs
+		// side releases staging ownership then too, so later writeg
+		// references to the slot must already be refused.
+		delete(t.wstaged, slot)
+		k.FS.UnleasePage(slot)
+		k.LeaseReturns.Add(1)
+		freed++
+	}
+	c.done(freed, abi.OK)
 }
 
 // dispatchReadgRun answers a run of same-fd readg frames with a single
@@ -170,23 +324,28 @@ func (k *Kernel) doWriteg(t *Task, fd int, refs []fs.SlotRef, done func(int64, a
 func (k *Kernel) dispatchReadgRun(t *Task, run []pendingCall, done func(uint32, int64, abi.Errno)) {
 	fallback := func() {
 		for _, c := range run {
-			c := c
-			k.dispatchCall(t, c.trap, c.args, func(ret int64, err abi.Errno) {
-				done(c.seq, ret, err)
-			})
+			k.dispatchCall(t, c.trap, t.frameCall(c, done))
 		}
 	}
 	if !(t.pool && t.ring != nil && !k.DisableZeroCopy) {
 		fallback()
 		return
 	}
-	arg := func(c pendingCall, i int) int64 {
-		if i < len(c.args) {
-			return c.args[i]
+	calls := make([]*heapCall, len(run))
+	frames := make([]readgArgs, len(run))
+	var totalWant, maxGrants int
+	for i, c := range run {
+		calls[i] = t.frameCall(c, done)
+		a := decodeReadg(calls[i])
+		if calls[i].bad() != abi.OK || a.want <= 0 || a.maxGrants <= 0 {
+			fallback()
+			return
 		}
-		return 0
+		frames[i] = a
+		totalWant += a.want
+		maxGrants += a.maxGrants
 	}
-	d, err := t.lookFd(int(arg(run[0], 0)))
+	d, err := t.lookFd(frames[0].fd)
 	if err != abi.OK {
 		fallback()
 		return
@@ -202,23 +361,6 @@ func (k *Kernel) dispatchReadgRun(t *Task, run []pendingCall, done func(uint32, 
 	if !ok {
 		fallback()
 		return
-	}
-	wants := make([]int, len(run))
-	mgs := make([]int, len(run))
-	var totalWant, maxGrants int
-	for i, c := range run {
-		bufLen, mg, want := int(arg(c, 2)), int(arg(c, 4)), int(arg(c, 5))
-		if want <= 0 {
-			want = bufLen
-		}
-		if bufLen < 0 || want <= 0 || mg <= 0 || mg > 4096 {
-			fallback()
-			return
-		}
-		wants[i] = want
-		mgs[i] = mg
-		totalWant += want
-		maxGrants += mg
 	}
 	if maxGrants > 4096 {
 		maxGrants = 4096
@@ -238,11 +380,11 @@ func (k *Kernel) dispatchReadgRun(t *Task, run []pendingCall, done func(uint32, 
 	// stream stays intact because the next frame continues where the
 	// short one stopped.
 	ri := 0
-	for i, c := range run {
-		want := wants[i]
+	for i, a := range frames {
+		want := a.want
 		var grants []abi.PageGrant
 		var granted int64
-		for want > 0 && ri < len(refs) && len(grants) < mgs[i] {
+		for want > 0 && ri < len(refs) && len(grants) < a.maxGrants {
 			r := refs[ri]
 			take := r.Len
 			if take > want {
@@ -272,8 +414,8 @@ func (k *Kernel) dispatchReadgRun(t *Task, run []pendingCall, done func(uint32, 
 		k.GrantedBytes.Add(granted)
 		buf := make([]byte, abi.GrantAreaSize(len(grants)))
 		abi.PackGrantReply(buf, abi.GrantMapped, grants)
-		t.heapWrite(arg(c, 3), buf)
-		done(c.seq, granted, abi.OK)
+		t.heapWrite(a.grantPtr, buf)
+		calls[i].done(granted, abi.OK)
 	}
 	// Every frame's area full with refs left over (possible only with
 	// degenerate caller-chosen grant areas): return the stranded leases

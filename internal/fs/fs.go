@@ -449,8 +449,9 @@ func (f *FileSystem) MetaBatch(reqs []MetaReq, cb func([]MetaRes)) {
 	resolved := make([]bool, len(reqs))
 	// batchSt holds the batch pass's walk result for MetaOpen elements:
 	// the open continuation reuses it instead of re-statting.
-	batchSt := make(map[int]abi.Stat)
+	var batchSt map[int]abi.Stat
 	if f.cachesOn && len(reqs) > 1 {
+		batchSt = make(map[int]abi.Stat)
 		f.dc.statBatches.Add(1)
 		paths := make([]string, len(reqs))
 		opts := make([]walkOpts, len(reqs))

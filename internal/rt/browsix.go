@@ -1,6 +1,9 @@
 package rt
 
 import (
+	"encoding/binary"
+	"fmt"
+
 	"repro/internal/abi"
 	"repro/internal/browser"
 	"repro/internal/posix"
@@ -327,6 +330,63 @@ func (r *workerRT) maxScratchPayload() int64 {
 	return m
 }
 
+// call issues a system call whose arguments are all inputs — int64, int,
+// string, []string or []int — on the process's transport, returning
+// (ret, errno). The async transport clones them as they are (lists as
+// arrays). The sync transport stages a string in scratch as a (ptr,len)
+// pair, a string list NUL-packed the same way, and an int list as int32
+// records (ptr,count).
+func (r *workerRT) call(trap int, args ...any) (int64, abi.Errno) {
+	if !r.sync {
+		vals := make([]browser.Value, len(args))
+		for i, a := range args {
+			switch x := a.(type) {
+			case int:
+				vals[i] = int64(x)
+			case []string:
+				vals[i] = browser.StringArray(x)
+			case []int:
+				fv := make([]browser.Value, len(x))
+				for j, n := range x {
+					fv[j] = int64(n)
+				}
+				vals[i] = fv
+			case int64, string:
+				vals[i] = x
+			default:
+				panic(fmt.Sprintf("rt: call argument of type %T", a))
+			}
+		}
+		ret := r.asyncCall(abi.SyscallName(trap), vals...)
+		return vi(ret, 0), verr(ret)
+	}
+	ia := make([]int64, 0, 2*len(args))
+	for _, a := range args {
+		switch x := a.(type) {
+		case int:
+			ia = append(ia, int64(x))
+		case int64:
+			ia = append(ia, x)
+		case string:
+			p, n := r.putStr(x)
+			ia = append(ia, p, n)
+		case []string:
+			p, n := r.putStr(posix.JoinNul(x))
+			ia = append(ia, p, n)
+		case []int:
+			packed := make([]byte, 4*len(x))
+			for i, n := range x {
+				binary.LittleEndian.PutUint32(packed[i*4:], uint32(int32(n)))
+			}
+			p, _ := r.putBytes(packed)
+			ia = append(ia, p, int64(len(x)))
+		default:
+			panic(fmt.Sprintf("rt: call argument of type %T", a))
+		}
+	}
+	return r.syncCall(trap, ia...)
+}
+
 // ---------------------------------------------------------------------------
 // posix.Proc implementation. Every method follows the runtime's
 // transport; reply decoding mirrors the kernel's encodings.
@@ -350,11 +410,8 @@ func verr(ret []browser.Value) abi.Errno { return abi.Errno(vi(ret, 1)) }
 
 func (r *workerRT) Getpid() int { return r.pid }
 func (r *workerRT) Getppid() int {
-	if r.sync {
-		ret, _ := r.syncCall(abi.SYS_getppid)
-		return int(ret)
-	}
-	return int(vi(r.asyncCall("getppid"), 0))
+	ret, _ := r.call(abi.SYS_getppid)
+	return int(ret)
 }
 func (r *workerRT) Args() []string    { return r.args }
 func (r *workerRT) Environ() []string { return r.env }
@@ -364,13 +421,8 @@ func (r *workerRT) Getenv(key string) string {
 func (r *workerRT) Setenv(key, value string) { r.env = posix.SetEnv(r.env, key, value) }
 
 func (r *workerRT) Open(path string, flags int, mode uint32) (int, abi.Errno) {
-	if r.sync {
-		p, n := r.putStr(path)
-		ret, err := r.syncCall(abi.SYS_open, p, n, int64(flags), int64(mode))
-		return int(ret), err
-	}
-	ret := r.asyncCall("open", path, int64(flags), int64(mode))
-	return int(vi(ret, 0)), verr(ret)
+	ret, err := r.call(abi.SYS_open, path, flags, int64(mode))
+	return int(ret), err
 }
 
 func (r *workerRT) Close(fd int) abi.Errno {
@@ -663,19 +715,13 @@ func (r *workerRT) Seek(fd int, off int64, whence int) (int64, abi.Errno) {
 }
 
 func (r *workerRT) Ftruncate(fd int, size int64) abi.Errno {
-	if r.sync {
-		_, err := r.syncCall(abi.SYS_ftruncate, int64(fd), size)
-		return err
-	}
-	return verr(r.asyncCall("ftruncate", int64(fd), size))
+	_, err := r.call(abi.SYS_ftruncate, fd, size)
+	return err
 }
 
 func (r *workerRT) Fsync(fd int) abi.Errno {
-	if r.sync {
-		_, err := r.syncCall(abi.SYS_fsync, int64(fd))
-		return err
-	}
-	return verr(r.asyncCall("fsync", int64(fd)))
+	_, err := r.call(abi.SYS_fsync, fd)
+	return err
 }
 
 func (r *workerRT) Dup2(oldfd, newfd int) abi.Errno {
@@ -692,7 +738,7 @@ func (r *workerRT) Dup2(oldfd, newfd int) abi.Errno {
 	return verr(r.asyncCall("dup2", int64(oldfd), int64(newfd)))
 }
 
-func (r *workerRT) statCall(name string, trap int, path string) (abi.Stat, abi.Errno) {
+func (r *workerRT) statCall(trap int, path string) (abi.Stat, abi.Errno) {
 	if r.sync {
 		p, n := r.putStr(path)
 		sp := r.alloc(abi.StatSize)
@@ -702,7 +748,7 @@ func (r *workerRT) statCall(name string, trap int, path string) (abi.Stat, abi.E
 		}
 		return abi.UnpackStat(r.heap.Bytes()[sp : sp+abi.StatSize]), abi.OK
 	}
-	ret := r.asyncCall(name, path)
+	ret := r.asyncCall(abi.SyscallName(trap), path)
 	if err := verr(ret); err != abi.OK {
 		return abi.Stat{}, err
 	}
@@ -715,10 +761,10 @@ func (r *workerRT) statCall(name string, trap int, path string) (abi.Stat, abi.E
 }
 
 func (r *workerRT) Stat(path string) (abi.Stat, abi.Errno) {
-	return r.statCall("stat", abi.SYS_stat, path)
+	return r.statCall(abi.SYS_stat, path)
 }
 func (r *workerRT) Lstat(path string) (abi.Stat, abi.Errno) {
-	return r.statCall("lstat", abi.SYS_lstat, path)
+	return r.statCall(abi.SYS_lstat, path)
 }
 
 // StatBatchAmortized implements posix.StatBatchAmortizer: only the ring
@@ -808,12 +854,8 @@ func (r *workerRT) Fstat(fd int) (abi.Stat, abi.Errno) {
 }
 
 func (r *workerRT) Access(path string, mode int) abi.Errno {
-	if r.sync {
-		p, n := r.putStr(path)
-		_, err := r.syncCall(abi.SYS_access, p, n, int64(mode))
-		return err
-	}
-	return verr(r.asyncCall("access", path, int64(mode)))
+	_, err := r.call(abi.SYS_access, path, mode)
+	return err
 }
 
 func (r *workerRT) Readlink(path string) (string, abi.Errno) {
@@ -835,52 +877,33 @@ func (r *workerRT) Readlink(path string) (string, abi.Errno) {
 }
 
 func (r *workerRT) Utimes(path string, atime, mtime int64) abi.Errno {
-	if r.sync {
-		p, n := r.putStr(path)
-		_, err := r.syncCall(abi.SYS_utimes, p, n, atime, mtime)
-		return err
-	}
-	return verr(r.asyncCall("utimes", path, atime, mtime))
-}
-
-func (r *workerRT) pathCall(name string, trap int, path string, extra ...int64) abi.Errno {
-	if r.sync {
-		p, n := r.putStr(path)
-		args := append([]int64{p, n}, extra...)
-		_, err := r.syncCall(trap, args...)
-		return err
-	}
-	vargs := []browser.Value{path}
-	for _, e := range extra {
-		vargs = append(vargs, e)
-	}
-	return verr(r.asyncCall(name, vargs...))
+	_, err := r.call(abi.SYS_utimes, path, atime, mtime)
+	return err
 }
 
 func (r *workerRT) Mkdir(path string, mode uint32) abi.Errno {
-	return r.pathCall("mkdir", abi.SYS_mkdir, path, int64(mode))
+	_, err := r.call(abi.SYS_mkdir, path, int64(mode))
+	return err
 }
-func (r *workerRT) Rmdir(path string) abi.Errno  { return r.pathCall("rmdir", abi.SYS_rmdir, path) }
-func (r *workerRT) Unlink(path string) abi.Errno { return r.pathCall("unlink", abi.SYS_unlink, path) }
+
+func (r *workerRT) Rmdir(path string) abi.Errno {
+	_, err := r.call(abi.SYS_rmdir, path)
+	return err
+}
+
+func (r *workerRT) Unlink(path string) abi.Errno {
+	_, err := r.call(abi.SYS_unlink, path)
+	return err
+}
 
 func (r *workerRT) Rename(oldp, newp string) abi.Errno {
-	if r.sync {
-		op, on := r.putStr(oldp)
-		np, nn := r.putStr(newp)
-		_, err := r.syncCall(abi.SYS_rename, op, on, np, nn)
-		return err
-	}
-	return verr(r.asyncCall("rename", oldp, newp))
+	_, err := r.call(abi.SYS_rename, oldp, newp)
+	return err
 }
 
 func (r *workerRT) Symlink(target, link string) abi.Errno {
-	if r.sync {
-		tp, tn := r.putStr(target)
-		lp, ln := r.putStr(link)
-		_, err := r.syncCall(abi.SYS_symlink, tp, tn, lp, ln)
-		return err
-	}
-	return verr(r.asyncCall("symlink", target, link))
+	_, err := r.call(abi.SYS_symlink, target, link)
+	return err
 }
 
 func (r *workerRT) Getdents(fd int) ([]abi.Dirent, abi.Errno) {
@@ -911,7 +934,8 @@ func (r *workerRT) Getdents(fd int) ([]abi.Dirent, abi.Errno) {
 }
 
 func (r *workerRT) Chdir(path string) abi.Errno {
-	return r.pathCall("chdir", abi.SYS_chdir, path)
+	_, err := r.call(abi.SYS_chdir, path)
+	return err
 }
 
 func (r *workerRT) Getcwd() (string, abi.Errno) {
@@ -951,29 +975,8 @@ func (r *workerRT) Pipe() (int, int, abi.Errno) {
 }
 
 func (r *workerRT) Spawn(path string, argv, env []string, files []int) (int, abi.Errno) {
-	if r.sync {
-		pp, pn := r.putStr(path)
-		ap, an := r.putStr(posix.JoinNul(argv))
-		ep, en := r.putStr(posix.JoinNul(env))
-		fdsBuf := make([]byte, 4*len(files))
-		for i, fd := range files {
-			v := uint32(int32(fd))
-			fdsBuf[i*4] = byte(v)
-			fdsBuf[i*4+1] = byte(v >> 8)
-			fdsBuf[i*4+2] = byte(v >> 16)
-			fdsBuf[i*4+3] = byte(v >> 24)
-		}
-		fp, _ := r.putBytes(fdsBuf)
-		ret, err := r.syncCall(abi.SYS_spawn, pp, pn, ap, an, ep, en, fp, int64(len(files)))
-		return int(ret), err
-	}
-	fv := make([]browser.Value, len(files))
-	for i, f := range files {
-		fv[i] = int64(f)
-	}
-	ret := r.asyncCall("spawn", path,
-		browser.StringArray(argv), browser.StringArray(env), fv)
-	return int(vi(ret, 0)), verr(ret)
+	ret, err := r.call(abi.SYS_spawn, path, argv, env, files)
+	return int(ret), err
 }
 
 func (r *workerRT) Fork(label string, mem []byte) (int, abi.Errno) {
@@ -987,15 +990,8 @@ func (r *workerRT) Fork(label string, mem []byte) (int, abi.Errno) {
 }
 
 func (r *workerRT) Exec(path string, argv, env []string) abi.Errno {
-	if r.sync {
-		pp, pn := r.putStr(path)
-		ap, an := r.putStr(posix.JoinNul(argv))
-		ep, en := r.putStr(posix.JoinNul(env))
-		_, err := r.syncCall(abi.SYS_exec, pp, pn, ap, an, ep, en)
-		return err
-	}
-	ret := r.asyncCall("exec", path, browser.StringArray(argv), browser.StringArray(env))
-	return verr(ret)
+	_, err := r.call(abi.SYS_exec, path, argv, env)
+	return err
 }
 
 func (r *workerRT) Wait4(pid int, options int) (int, int, abi.Errno) {
@@ -1021,77 +1017,54 @@ func (r *workerRT) Exit(code int) {
 }
 
 func (r *workerRT) Kill(pid, sig int) abi.Errno {
-	if r.sync {
-		_, err := r.syncCall(abi.SYS_kill, int64(pid), int64(sig))
-		return err
-	}
-	return verr(r.asyncCall("kill", int64(pid), int64(sig)))
-}
-
-func (r *workerRT) Signal(sig int, handler func(int)) abi.Errno {
-	action := int64(1)
-	if handler == nil {
-		action = 0
-	}
-	var err abi.Errno
-	if r.sync {
-		_, err = r.syncCall(abi.SYS_signal, int64(sig), action)
-	} else {
-		err = verr(r.asyncCall("signal", int64(sig), action))
-	}
-	if err == abi.OK {
-		if handler == nil {
-			delete(r.handlers, sig)
-		} else {
-			r.handlers[sig] = handler
-		}
-	}
+	_, err := r.call(abi.SYS_kill, pid, sig)
 	return err
 }
 
-func (r *workerRT) Socket() (int, abi.Errno) {
-	if r.sync {
-		ret, err := r.syncCall(abi.SYS_socket)
-		return int(ret), err
+func (r *workerRT) Signal(sig int, handler func(int)) abi.Errno {
+	action := 1
+	if handler == nil {
+		action = 0
 	}
-	ret := r.asyncCall("socket")
-	return int(vi(ret, 0)), verr(ret)
-}
-
-func (r *workerRT) fdPortCall(name string, trap int, fd, val int) abi.Errno {
-	if r.sync {
-		_, err := r.syncCall(trap, int64(fd), int64(val))
+	if _, err := r.call(abi.SYS_signal, sig, action); err != abi.OK {
 		return err
 	}
-	return verr(r.asyncCall(name, int64(fd), int64(val)))
+	if handler == nil {
+		delete(r.handlers, sig)
+	} else {
+		r.handlers[sig] = handler
+	}
+	return abi.OK
+}
+
+func (r *workerRT) Socket() (int, abi.Errno) {
+	ret, err := r.call(abi.SYS_socket)
+	return int(ret), err
 }
 
 func (r *workerRT) Bind(fd, port int) abi.Errno {
-	return r.fdPortCall("bind", abi.SYS_bind, fd, port)
+	_, err := r.call(abi.SYS_bind, fd, port)
+	return err
 }
+
 func (r *workerRT) Listen(fd, backlog int) abi.Errno {
-	return r.fdPortCall("listen", abi.SYS_listen, fd, backlog)
+	_, err := r.call(abi.SYS_listen, fd, backlog)
+	return err
 }
+
 func (r *workerRT) Connect(fd, port int) abi.Errno {
-	return r.fdPortCall("connect", abi.SYS_connect, fd, port)
+	_, err := r.call(abi.SYS_connect, fd, port)
+	return err
 }
 
 func (r *workerRT) Accept(fd int) (int, abi.Errno) {
-	if r.sync {
-		ret, err := r.syncCall(abi.SYS_accept, int64(fd))
-		return int(ret), err
-	}
-	ret := r.asyncCall("accept", int64(fd))
-	return int(vi(ret, 0)), verr(ret)
+	ret, err := r.call(abi.SYS_accept, fd)
+	return int(ret), err
 }
 
 func (r *workerRT) Getsockname(fd int) (int, abi.Errno) {
-	if r.sync {
-		ret, err := r.syncCall(abi.SYS_getsockname, int64(fd))
-		return int(ret), err
-	}
-	ret := r.asyncCall("getsockname", int64(fd))
-	return int(vi(ret, 0)), verr(ret)
+	ret, err := r.call(abi.SYS_getsockname, fd)
+	return int(ret), err
 }
 
 // AcceptBatch drains the listener backlog as non-blocking accepts. On
@@ -1124,14 +1097,7 @@ func (r *workerRT) AcceptBatch(fd, max int) ([]int, abi.Errno) {
 	}
 	var fds []int
 	for len(fds) < max {
-		var ret int64
-		var err abi.Errno
-		if r.sync {
-			ret, err = r.syncCall(abi.SYS_accept, int64(fd), int64(abi.O_NONBLOCK))
-		} else {
-			rv := r.asyncCall("accept", int64(fd), int64(abi.O_NONBLOCK))
-			ret, err = vi(rv, 0), verr(rv)
-		}
+		ret, err := r.call(abi.SYS_accept, fd, abi.O_NONBLOCK)
 		if err != abi.OK {
 			if err == abi.EAGAIN || len(fds) > 0 {
 				break
@@ -1188,7 +1154,8 @@ func (r *workerRT) Poll(fds []abi.Pollfd, timeoutNs int64) (int, abi.Errno) {
 }
 
 func (r *workerRT) Setfl(fd, flags int) abi.Errno {
-	return r.fdPortCall("setfl", abi.SYS_setfl, fd, flags)
+	_, err := r.call(abi.SYS_setfl, fd, flags)
+	return err
 }
 
 func (r *workerRT) CPU(ns int64) {
