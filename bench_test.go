@@ -19,10 +19,8 @@ import (
 	"repro/internal/abi"
 	"repro/internal/browser"
 	"repro/internal/core"
-	"repro/internal/coreutils"
 	"repro/internal/expt"
 	"repro/internal/meme"
-	"repro/internal/rt"
 	"repro/internal/sched"
 )
 
@@ -217,8 +215,8 @@ func BenchmarkAblation_PipeThroughput(b *testing.B) {
 	reportVirtual(b, func() int64 {
 		in := browsix.Boot(browsix.Config{})
 		browsix.InstallBase(in)
-		in.WriteFile("/big.bin", make([]byte, 1<<20))
-		res := in.RunCommand("cat /big.bin | wc -c")
+		writeFile(b, in, "/big.bin", make([]byte, 1<<20))
+		res := runCmd(b, in, "cat /big.bin | wc -c")
 		if res.Code != 0 {
 			b.Fatalf("pipeline failed: %s", res.Stderr)
 		}
@@ -233,7 +231,7 @@ func BenchmarkAblation_SpawnLatency(b *testing.B) {
 	reportVirtual(b, func() int64 {
 		in := browsix.Boot(browsix.Config{})
 		browsix.InstallBase(in)
-		return in.RunCommand("true").Elapsed
+		return runCmd(b, in, "true").Elapsed
 	})
 }
 
@@ -247,19 +245,19 @@ func BenchmarkAblation_SpawnLatency(b *testing.B) {
 // forkSpawnElapsed measures the second spawn of a Node-runtime utility:
 // a cold boot when snapshots are off, a clone boot when on (the first
 // spawn captured the image). Cache state is identical either way.
-func forkSpawnElapsed(snaps bool) int64 {
+func forkSpawnElapsed(b *testing.B, snaps bool) int64 {
 	in := browsix.Boot(browsix.Config{EnableSnapshots: snaps})
 	browsix.InstallBase(in)
-	in.RunCommand("echo warm")
-	return in.RunCommand("echo measured").Elapsed
+	runCmd(b, in, "echo warm")
+	return runCmd(b, in, "echo measured").Elapsed
 }
 
 func BenchmarkForkSpawn(b *testing.B) {
-	reportVirtual(b, func() int64 { return forkSpawnElapsed(true) })
+	reportVirtual(b, func() int64 { return forkSpawnElapsed(b, true) })
 }
 
 func BenchmarkColdSpawn(b *testing.B) {
-	reportVirtual(b, func() int64 { return forkSpawnElapsed(false) })
+	reportVirtual(b, func() int64 { return forkSpawnElapsed(b, false) })
 }
 
 // ---------------------------------------------------------------------------
@@ -326,15 +324,9 @@ func BenchmarkRingTransport(b *testing.B) {
 		browsix.InstallBase(in)
 		in.Kernel.DisableRing = disableRing
 		if sync {
-			image := map[string][]byte{}
-			for _, name := range coreutils.Names() {
-				rt.InstallExecutable(image, "/usr/bin/"+name, name, rt.WasmKind)
-			}
-			for p, data := range image {
-				in.WriteFile(p, data)
-			}
+			browsix.InstallWasmCoreutils(in)
 		}
-		in.WriteFile("/big.bin", make([]byte, payload))
+		writeFile(b, in, "/big.bin", make([]byte, payload))
 		return in
 	}
 	for _, cfg := range []struct {
@@ -351,7 +343,7 @@ func BenchmarkRingTransport(b *testing.B) {
 			b.SetBytes(payload)
 			reportVirtual(b, func() int64 {
 				in := stage(cfg.sync, cfg.disable)
-				res := in.RunCommand("cat /big.bin | wc -c")
+				res := runCmd(b, in, "cat /big.bin | wc -c")
 				if res.Code != 0 {
 					b.Fatalf("pipeline failed: %s", res.Stderr)
 				}

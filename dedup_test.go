@@ -4,10 +4,10 @@ import (
 	"archive/zip"
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	browsix "repro"
-	"repro/internal/abi"
 	"repro/internal/fs"
 )
 
@@ -106,7 +106,7 @@ func TestDedupDifferential(t *testing.T) {
 		browsix.InstallBase(in)
 		in.Kernel.DisableRing = disableRing
 		if sync {
-			installWasmCoreutils(t, in)
+			browsix.InstallWasmCoreutils(in)
 		}
 		mountShare(t, in, archive)
 		rfs, zerr := fs.NewZipFS(repArchive)
@@ -116,7 +116,7 @@ func TestDedupDifferential(t *testing.T) {
 		in.VFS.Mount("/rep", rfs)
 		var r result
 		for _, cmd := range cmds {
-			res := in.RunCommand(cmd)
+			res := runCmd(t, in, cmd)
 			if res.Code != 0 {
 				t.Fatalf("%s: %q exited %d: %s", name, cmd, res.Code, res.Stderr)
 			}
@@ -184,8 +184,8 @@ func tenantTreeLoad(t testing.TB, archive []byte, tenants int, disable bool) bro
 		},
 		Workload: func(i int, in *browsix.Instance) {
 			for f := 0; f < dedupTreeFiles; f++ {
-				data, err := in.ReadFile(dedupTreePath(f))
-				if err != abi.OK || len(data) != dedupTreeFileSize {
+				data, err := in.FS().ReadFile(strings.TrimPrefix(dedupTreePath(f), "/"))
+				if err != nil || len(data) != dedupTreeFileSize {
 					t.Errorf("tenant %d: read %s: err=%v len=%d", i, dedupTreePath(f), err, len(data))
 					return
 				}
@@ -267,7 +267,7 @@ func TestTenantDedupWithSnapshotWarmup(t *testing.T) {
 			mountShare(t, in, archive)
 		},
 		Workload: func(i int, in *browsix.Instance) {
-			res := in.RunCommand("cat /share/tree/f001.dat /share/tree/f003.dat | wc -c")
+			res := runCmd(t, in, "cat /share/tree/f001.dat /share/tree/f003.dat | wc -c")
 			if res.Code != 0 {
 				t.Errorf("tenant %d: wc exited %d: %s", i, res.Code, res.Stderr)
 			}

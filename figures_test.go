@@ -116,9 +116,9 @@ func TestWasmExecutable(t *testing.T) {
 	image := map[string][]byte{}
 	rt.InstallExecutable(image, "/usr/bin/wasm-fsops", "x-fsops", rt.WasmKind)
 	for p, b := range image {
-		in.WriteFile(p, b)
+		writeFile(t, in, p, b)
 	}
-	res := in.RunCommand("/usr/bin/wasm-fsops")
+	res := runCmd(t, in, "/usr/bin/wasm-fsops")
 	if res.Code != 0 {
 		t.Fatalf("wasm program exited %d: %s", res.Code, res.Stderr)
 	}
@@ -138,9 +138,9 @@ func TestWasmFasterThanAsmJS(t *testing.T) {
 		image := map[string][]byte{}
 		rt.InstallExecutable(image, "/usr/bin/prog", "x-fsops", kind)
 		for p, b := range image {
-			in.WriteFile(p, b)
+			writeFile(t, in, p, b)
 		}
-		res := in.RunCommand("/usr/bin/prog")
+		res := runCmd(t, in, "/usr/bin/prog")
 		if res.Code != 0 {
 			t.Fatalf("%s exited %d", kind, res.Code)
 		}
@@ -161,12 +161,15 @@ func TestKillSyncBlockedProcess(t *testing.T) {
 	image := map[string][]byte{}
 	rt.InstallExecutable(image, "/usr/bin/sync-server", "x-server", rt.EmSyncKind)
 	for p, b := range image {
-		in.WriteFile(p, b)
+		writeFile(t, in, p, b)
 	}
 	code := -1
 	done := false
 	in.Main(func() {
-		in.Kernel.System("/usr/bin/sync-server", func(pid, c int) { code = c; done = true }, nil, nil)
+		in.Kernel.StartProcess(core.ProcSpec{
+			Argv:   []string{"/usr/bin/sync-server"},
+			OnExit: func(_, c int) { code = c; done = true },
+		})
 	})
 	listening := false
 	in.OnListen(8080, func(int) { listening = true })

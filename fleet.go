@@ -2,6 +2,7 @@ package browsix
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -298,7 +299,16 @@ func (fl *Fleet) prewarmSnapshots(pool *fs.PagePool, quota int) *snapshot.Regist
 		w.Setup(in)
 	}
 	for _, c := range w.Cmds {
-		in.RunCommand(c)
+		// A command that fails to launch or exits non-zero just leaves
+		// its runtime uncaptured; a stalled warm-up is a bug.
+		p, err := in.Start(Spec{Argv: SplitCmdline(c)})
+		if err == nil {
+			_, err = p.Wait()
+		}
+		var dl *ErrDeadlock
+		if errors.As(err, &dl) {
+			panic(dl.Error())
+		}
 	}
 	in.VFS.FlushCaches()
 	reg.Seal()

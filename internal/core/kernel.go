@@ -81,9 +81,6 @@ type Kernel struct {
 	// and every pre-existing virtual clock. A fleet shares one sealed
 	// registry; a single instance owns a private one.
 	Snapshots *snapshot.Registry
-	// DisableSnapshots ignores Snapshots without unwiring it — the
-	// ablation flag the differential tests flip.
-	DisableSnapshots bool
 
 	// stubURLs caches the per-executable bootstrap Blob URL clone boots
 	// start their workers from: a thin loader stub standing in for the
@@ -250,7 +247,7 @@ const maxShebangDepth = 4
 
 // Spawn constructs a new process from an executable on the file system
 // (§3.3). parent may be nil for kernel-initiated processes
-// (kernel.System). cb receives the child pid.
+// (StartProcess). cb receives the child pid.
 func (k *Kernel) Spawn(parent *Task, spec SpawnSpec, cb func(int, abi.Errno)) {
 	k.resolveExecutable(spec.Path, spec.Args, spec.Cwd, 0, func(path string, argv []string, script []byte, err abi.Errno) {
 		if err != abi.OK {
@@ -268,7 +265,7 @@ func (k *Kernel) Spawn(parent *Task, spec SpawnSpec, cb func(int, abi.Errno)) {
 		// copy-on-write clone boot; otherwise an unsealed registry asks
 		// the new process to capture one after its first boot completes.
 		var img *snapshot.Image
-		if k.Snapshots != nil && !k.DisableSnapshots && spec.Fork == nil {
+		if k.Snapshots != nil && spec.Fork == nil {
 			img = k.Snapshots.Lookup(path)
 		}
 
@@ -359,7 +356,7 @@ func (k *Kernel) Spawn(parent *Task, spec SpawnSpec, cb func(int, abi.Errno)) {
 			init["snapimage"] = img
 			k.CloneBoots.Add(1)
 			k.Snapshots.Stats().CloneBoots.Add(1)
-		case k.Snapshots != nil && !k.DisableSnapshots && !k.Snapshots.Sealed() && spec.Fork == nil:
+		case k.Snapshots != nil && !k.Snapshots.Sealed() && spec.Fork == nil:
 			// First boot of this runtime: ask it to call back with
 			// "snapcap" once init and transport negotiation finish.
 			t.script = script
@@ -781,37 +778,6 @@ func SplitCmdline(cmdline string) []string {
 		return []string{"/bin/sh", "-c", cmdline}
 	}
 	return strings.Fields(cmdline)
-}
-
-// System launches a command line as a Browsix process with streaming
-// stdout/stderr callbacks — the API in Figure 4, now a thin wrapper over
-// StartProcess.
-//
-// Deprecated: use StartProcess (or the public browsix.Instance.Start),
-// which carries env, cwd, and stdin and reports spawn errors precisely.
-func (k *Kernel) System(cmdline string, onExit func(pid, code int), onStdout, onStderr func([]byte)) {
-	drop := func(cb func([]byte)) func([]byte) {
-		if cb == nil {
-			return nil
-		}
-		// Legacy callbacks never saw the empty EOF marker.
-		return func(b []byte) {
-			if len(b) > 0 {
-				cb(b)
-			}
-		}
-	}
-	k.StartProcess(ProcSpec{
-		Argv: SplitCmdline(cmdline),
-		OnStart: func(pid int, err abi.Errno) {
-			if err != abi.OK {
-				onExit(0, 127) // legacy contract: launch failure looks like exit 127
-			}
-		},
-		OnExit:   onExit,
-		OnStdout: drop(onStdout),
-		OnStderr: drop(onStderr),
-	})
 }
 
 // lookPath resolves a bare command name against the environment's PATH

@@ -232,6 +232,38 @@ func init() {
 		if b, _ := posix.ReadFile(p, "/renamed.txt"); string(b) != "via-orig via-dup+app" {
 			return 17
 		}
+		// The remaining output-bearing calls: lstat, getcwd, getdents,
+		// pipe2, poll and wait4.
+		if st, err := p.Lstat("/link"); err != abi.OK || !st.IsSymlink() {
+			return 18
+		}
+		if cwd, err := p.Getcwd(); err != abi.OK || cwd != "/" {
+			return 19
+		}
+		dfd, _ := p.Open("/usr/bin", abi.O_RDONLY, 0)
+		ents, err := posix.ReadDir(p, dfd)
+		p.Close(dfd)
+		if err != abi.OK || len(ents) < 2 {
+			return 20
+		}
+		rfd, wfd, err := p.Pipe()
+		if err != abi.OK {
+			return 21
+		}
+		p.Write(wfd, []byte("p"))
+		fds := []abi.Pollfd{{Fd: int32(rfd), Events: abi.POLLIN}}
+		if n, err := p.Poll(fds, 0); err != abi.OK || n != 1 || fds[0].Revents&abi.POLLIN == 0 {
+			return 22
+		}
+		if b, err := p.Read(rfd, 8); err != abi.OK || string(b) != "p" {
+			return 23
+		}
+		p.Close(rfd)
+		p.Close(wfd)
+		pid, _ := p.Spawn("/usr/bin/t-zombie-child", []string{"t-zombie-child"}, nil, nil)
+		if wpid, status, err := p.Wait4(pid, 0); err != abi.OK || wpid != pid || abi.WEXITSTATUS(status) != 5 {
+			return 24
+		}
 		posix.WriteString(p, abi.Stdout, "fileops2 ok\n")
 		return 0
 	}})
@@ -313,21 +345,37 @@ func (w *world) install(t testing.TB, path, prog string, kind rt.Kind) {
 	})
 }
 
-// run launches a command line via kernel.System and drives the simulation
-// until it exits, returning exit code and captured output.
+// start launches a command line from a main-thread event. A launch
+// failure reports exit code 127, as system(3) does.
+func (w *world) start(cmdline string, onExit func(code int), onStdout, onStderr func([]byte)) {
+	w.k.StartProcess(core.ProcSpec{
+		Argv: core.SplitCmdline(cmdline),
+		OnStart: func(_ int, err abi.Errno) {
+			if err != abi.OK {
+				onExit(127)
+			}
+		},
+		OnExit:   func(_, code int) { onExit(code) },
+		OnStdout: onStdout,
+		OnStderr: onStderr,
+	})
+}
+
+// run launches a command line and drives the simulation until it exits,
+// returning exit code and captured output.
 func (w *world) run(t testing.TB, cmdline string) (int, string, string) {
 	t.Helper()
 	var stdout, stderr []byte
 	code := -1
 	done := false
 	w.sim.Post(w.sys.Main.Sched(), w.sys.Main.Now(), func() {
-		w.k.System(cmdline,
-			func(pid, c int) { code = c; done = true },
+		w.start(cmdline,
+			func(c int) { code = c; done = true },
 			func(b []byte) { stdout = append(stdout, b...) },
 			func(b []byte) { stderr = append(stderr, b...) })
 	})
 	if !w.sim.RunUntil(func() bool { return done }) {
-		t.Fatalf("System(%q) never exited; blocked ctxs: %v\n%s", cmdline, w.sim.BlockedCtxs(), w.sim.Dump())
+		t.Fatalf("%q never exited; blocked ctxs: %v\n%s", cmdline, w.sim.BlockedCtxs(), w.sim.Dump())
 	}
 	// Let output pumps drain.
 	w.sim.Run()
@@ -388,13 +436,19 @@ func TestFileOps2BothTransports(t *testing.T) {
 	if code != 0 || out != "fileops2 ok\n" {
 		t.Fatalf("async: code=%d out=%q err=%q", code, out, errOut)
 	}
-	// Same program on the synchronous transport (fresh world: the files
-	// it creates must not collide).
-	w2 := boot(t)
-	w2.install(t, "/usr/bin/t-fileops2-sync", "t-fileops2", rt.EmSyncKind)
-	code, out, errOut = w2.run(t, "/usr/bin/t-fileops2-sync")
-	if code != 0 || out != "fileops2 ok\n" {
-		t.Fatalf("sync: code=%d out=%q err=%q", code, out, errOut)
+	// Same program on the synchronous transport, ring and scalar (fresh
+	// worlds: the files it creates must not collide).
+	for _, disableRing := range []bool{false, true} {
+		w := boot(t)
+		w.k.DisableRing = disableRing
+		w.install(t, "/usr/bin/t-fileops2-sync", "t-fileops2", rt.EmSyncKind)
+		code, out, errOut = w.run(t, "/usr/bin/t-fileops2-sync")
+		if code != 0 || out != "fileops2 ok\n" {
+			t.Fatalf("sync (disableRing=%v): code=%d out=%q err=%q", disableRing, code, out, errOut)
+		}
+		if ring := w.k.RingSyscalls.Load(); (ring == 0) != disableRing {
+			t.Fatalf("sync (disableRing=%v): %d ring calls", disableRing, ring)
+		}
 	}
 }
 
@@ -433,8 +487,8 @@ func TestSignalHandlerAndKill(t *testing.T) {
 	var pid int
 	done := false
 	w.sim.Post(w.sys.Main.Sched(), 0, func() {
-		w.k.System("/usr/bin/t-sigwait",
-			func(p, c int) { code = c; done = true },
+		w.start("/usr/bin/t-sigwait",
+			func(c int) { code = c; done = true },
 			func(b []byte) { stdout = append(stdout, b...) },
 			nil)
 	})
@@ -468,8 +522,8 @@ func TestSIGKILLUncatchable(t *testing.T) {
 	code := -1
 	done := false
 	w.sim.Post(w.sys.Main.Sched(), 0, func() {
-		w.k.System("/usr/bin/t-sigwait",
-			func(p, c int) { code = c; done = true },
+		w.start("/usr/bin/t-sigwait",
+			func(c int) { code = c; done = true },
 			func(b []byte) { stdout = append(stdout, b...) }, nil)
 	})
 	w.sim.RunUntil(func() bool { return strings.Contains(string(stdout), "ready\n") })
@@ -500,13 +554,13 @@ func TestSocketsClientServer(t *testing.T) {
 	notified := false
 	w.sim.Post(w.sys.Main.Sched(), 0, func() {
 		w.k.OnPortListen(8080, func(port int) { notified = true })
-		w.k.System("/usr/bin/t-server", func(p, c int) { serverCode = c }, nil, nil)
+		w.start("/usr/bin/t-server", func(c int) { serverCode = c }, nil, nil)
 	})
 	// Start the client only after the socket notification fires —
 	// exactly the pattern §4.1 describes.
 	w.sim.RunUntil(func() bool { return notified })
 	w.sim.Post(w.sys.Main.Sched(), w.sys.Main.Now(), func() {
-		w.k.System("/usr/bin/t-client", func(p, c int) { clientCode = c },
+		w.start("/usr/bin/t-client", func(c int) { clientCode = c },
 			func(b []byte) { clientOut = append(clientOut, b...) }, nil)
 	})
 	if !w.sim.RunUntil(func() bool { return serverCode >= 0 && clientCode >= 0 }) {
@@ -597,7 +651,7 @@ func TestTaskDiagnostics(t *testing.T) {
 	w := boot(t)
 	var stdout []byte
 	w.sim.Post(w.sys.Main.Sched(), 0, func() {
-		w.k.System("/usr/bin/t-sigwait", func(p, c int) {},
+		w.start("/usr/bin/t-sigwait", func(c int) {},
 			func(b []byte) { stdout = append(stdout, b...) }, nil)
 	})
 	w.sim.RunUntil(func() bool { return strings.Contains(string(stdout), "ready") })

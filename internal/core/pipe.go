@@ -465,8 +465,8 @@ func (p *Pipe) writeNB(data []byte) (int, abi.Errno) {
 // Buffered returns the bytes currently queued (diagnostics).
 func (p *Pipe) Buffered() int { return p.size }
 
-// Read is the exported read for kernel-side consumers (System's output
-// pumps, the web app's XHR path, tests).
+// Read is the exported read for kernel-side consumers (StartProcess's
+// output pumps, the web app's XHR path, tests).
 func (p *Pipe) Read(n int, cb func([]byte, abi.Errno)) { p.read(n, cb) }
 
 // Write is the exported write for kernel-side producers.
@@ -490,13 +490,10 @@ func (p *Pipe) CloseWrite() { p.closeWrite() }
 // Pipe ends as kernel Files.
 // ---------------------------------------------------------------------------
 
-// pipeEnd is one end of a pipe exposed as a descriptor. sigPipe, when
-// non-nil, is invoked on EPIPE so the kernel can deliver SIGPIPE to the
-// writing process.
+// pipeEnd is one end of a pipe exposed as a descriptor.
 type pipeEnd struct {
-	p       *Pipe
-	reader  bool
-	sigPipe func()
+	p      *Pipe
+	reader bool
 }
 
 // NewPipePair returns connected (read end, write end) kernel files.
@@ -518,12 +515,7 @@ func (e *pipeEnd) Write(d *Desc, data []byte, cb func(int, abi.Errno)) {
 		cb(0, abi.EBADF)
 		return
 	}
-	e.p.write(data, func(n int, err abi.Errno) {
-		if err == abi.EPIPE && e.sigPipe != nil {
-			e.sigPipe()
-		}
-		cb(n, err)
-	})
+	e.p.write(data, cb)
 }
 
 // Writev is the vectored, zero-copy write: the kernel hands over buffers
@@ -534,12 +526,7 @@ func (e *pipeEnd) Writev(d *Desc, bufs [][]byte, cb func(int, abi.Errno)) {
 		cb(0, abi.EBADF)
 		return
 	}
-	e.p.writeOwned(bufs, func(n int, err abi.Errno) {
-		if err == abi.EPIPE && e.sigPipe != nil {
-			e.sigPipe()
-		}
-		cb(n, err)
-	})
+	e.p.writeOwned(bufs, cb)
 }
 
 // WriteSlotSegs is the zero-copy writeg entry for a pipe write end:
@@ -553,12 +540,7 @@ func (e *pipeEnd) WriteSlotSegs(segs []pipeSeg, cb func(int, abi.Errno)) {
 		cb(0, abi.EBADF)
 		return
 	}
-	e.p.writeSlotSegs(segs, func(n int, err abi.Errno) {
-		if err == abi.EPIPE && e.sigPipe != nil {
-			e.sigPipe()
-		}
-		cb(n, err)
-	})
+	e.p.writeSlotSegs(segs, cb)
 }
 
 // ReadRef answers a readg against the pipe: consecutive slot-backed

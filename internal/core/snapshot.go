@@ -78,7 +78,7 @@ func (k *Kernel) releaseTaskSnapshot(t *Task) {
 // Args: ringOK, poolOK, scratchTop.
 func (k *Kernel) doSnapcap(t *Task, c *msgCall) {
 	ringOK, poolOK, scratchTop := c.num() != 0, c.num() != 0, c.num()
-	if k.Snapshots == nil || k.DisableSnapshots || k.Snapshots.Sealed() || t.script == nil {
+	if k.Snapshots == nil || k.Snapshots.Sealed() || t.script == nil {
 		c.done(-1, abi.ENOSYS)
 		return
 	}

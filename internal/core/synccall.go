@@ -117,7 +117,8 @@ func (k *Kernel) dispatchCall(t *Task, trap int, c call) {
 		// The payload is kernel-owned, so ownership can transfer to the
 		// file (zero-copy into pipes).
 		if d, data := fdArg(t, c), c.payload(); !failed(c) {
-			writeMoved(d, data, func(n int, err abi.Errno) { c.done(int64(n), err) })
+			done := k.sigPipe(t, d, c.done)
+			writeMoved(d, data, func(n int, err abi.Errno) { done(int64(n), err) })
 		}
 	case abi.SYS_readv:
 		d, iovs := fdArg(t, c), c.iovecs()
@@ -141,7 +142,7 @@ func (k *Kernel) dispatchCall(t *Task, trap int, c call) {
 		})
 	case abi.SYS_writev:
 		if d, bufs := fdArg(t, c), c.payloads(); !failed(c) {
-			writevBufs(d, bufs, c.done)
+			writevBufs(d, bufs, k.sigPipe(t, d, c.done))
 		}
 	case abi.SYS_pread:
 		if d, b, off := fdArg(t, c), c.buf(), c.num(); !failed(c) {
@@ -334,6 +335,22 @@ func fdArg(t *Task, c call) *Desc {
 	d, err := t.lookFd(int(c.num()))
 	c.fail(err)
 	return d
+}
+
+// sigPipe wraps a write's completion on d: a pipe write failing with
+// EPIPE raises SIGPIPE on the writing task before the call completes, as
+// on Unix. Sockets only report EPIPE, so a server outlives a client that
+// hangs up.
+func (k *Kernel) sigPipe(t *Task, d *Desc, done func(int64, abi.Errno)) func(int64, abi.Errno) {
+	if _, ok := d.file.(*pipeEnd); !ok {
+		return done
+	}
+	return func(n int64, err abi.Errno) {
+		if err == abi.EPIPE {
+			k.signalTask(t, abi.SIGPIPE)
+		}
+		done(n, err)
+	}
 }
 
 // sockArg reads a descriptor argument that must be a socket.

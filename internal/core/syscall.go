@@ -125,8 +125,6 @@ func (t *Task) abs(p string) string { return fs.Abs(t.cwd, p) }
 
 func (k *Kernel) doPipe2(t *Task) (int, int) {
 	r, w := NewPipePair()
-	// SIGPIPE goes to the writing process, as on Unix.
-	w.(*pipeEnd).sigPipe = func() { k.signalTask(t, abi.SIGPIPE) }
 	r.(*pipeEnd).p.onState = k.pollKick
 	rfd := t.installFd(NewDesc(r, abi.O_RDONLY, r.(*pipeEnd).String()))
 	wfd := t.installFd(NewDesc(w, abi.O_WRONLY, w.(*pipeEnd).String()))

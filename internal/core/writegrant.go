@@ -169,9 +169,8 @@ func (k *Kernel) doWriteg(t *Task, c *heapCall) {
 			}
 		}
 		k.WriteGrantedBytes.Add(total)
-		pe.WriteSlotSegs(segs, func(n int, werr abi.Errno) {
-			c.done(int64(n), werr)
-		})
+		done := k.sigPipe(t, d, c.done)
+		pe.WriteSlotSegs(segs, func(n int, werr abi.Errno) { done(int64(n), werr) })
 		return
 	}
 	if f, ok := d.file.(*fsFile); ok {

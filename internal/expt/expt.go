@@ -6,6 +6,7 @@ package expt
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	browsix "repro"
@@ -62,7 +63,9 @@ func stageFig9Browsix() *browsix.Instance {
 	for i := range body {
 		body[i] = byte(i * 31)
 	}
-	in.WriteFile("/usr/bin/node", body)
+	if err := in.FS().WriteFile("usr/bin/node", body, 0o644); err != nil {
+		panic("expt: " + err.Error())
+	}
 	return in
 }
 
@@ -81,12 +84,28 @@ func Fig9(argv ...string) Fig9Row {
 	row.NodeNs = resJ.Elapsed
 
 	in := stageFig9Browsix()
-	res := in.RunCommand(strings.Join(argv, " "))
-	if res.Code != 0 {
-		panic(fmt.Sprintf("expt: fig9 %v exited %d: %s", argv, res.Code, res.Stderr))
+	code, _, stderr, elapsed := run(in, argv)
+	if code != 0 {
+		panic(fmt.Sprintf("expt: fig9 %v exited %d: %s", argv, code, stderr))
 	}
-	row.BrowsixNs = res.Elapsed
+	row.BrowsixNs = elapsed
 	return row
+}
+
+// run runs argv to completion, returning its exit code and output and
+// the virtual ns from submission to exit.
+func run(in *browsix.Instance, argv []string) (code int, stdout, stderr []byte, elapsed int64) {
+	start := in.Browser.Main.Now()
+	p, err := in.Start(browsix.Spec{Argv: argv})
+	if err == nil {
+		code, err = p.Wait()
+	}
+	if err != nil {
+		panic(fmt.Sprintf("expt: %v: %v", argv, err))
+	}
+	stdout, _ = io.ReadAll(p.Stdout())
+	stderr, _ = io.ReadAll(p.Stderr())
+	return code, stdout, stderr, in.Browser.Main.Now() - start
 }
 
 // Fig9All runs the table's two rows (sha1sum on /usr/bin/node, ls on
@@ -285,10 +304,12 @@ func browsixProbe(kind rt.Kind) int64 {
 	image := map[string][]byte{}
 	rt.InstallExecutable(image, "/usr/bin/syscall-probe", "syscall-probe", kind)
 	for p, b := range image {
-		in.WriteFile(p, b)
+		if err := in.FS().WriteFile(strings.TrimPrefix(p, "/"), b, 0o644); err != nil {
+			panic("expt: " + err.Error())
+		}
 	}
-	res := in.RunCommand("/usr/bin/syscall-probe")
-	return perCall(res.Stdout, res.Code)
+	code, stdout, _, _ := run(in, []string{"/usr/bin/syscall-probe"})
+	return perCall(stdout, code)
 }
 
 // perCall extracts the loop-only duration the probe prints on stdout and

@@ -355,9 +355,10 @@ func (c *lgClient) drainResponses(eof bool) {
 			c.connBroken()
 			return
 		}
+		// resp.Body aliases c.buf: hand it over before compacting.
+		c.complete(resp)
 		n := copy(c.buf, rest)
 		c.buf = c.buf[:n]
-		c.complete(resp)
 	}
 }
 

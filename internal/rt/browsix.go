@@ -330,37 +330,70 @@ func (r *workerRT) maxScratchPayload() int64 {
 	return m
 }
 
-// call issues a system call whose arguments are all inputs — int64, int,
-// string, []string or []int — on the process's transport, returning
-// (ret, errno). The async transport clones them as they are (lists as
-// arrays). The sync transport stages a string in scratch as a (ptr,len)
-// pair, a string list NUL-packed the same way, and an int list as int32
-// records (ptr,count).
-func (r *workerRT) call(trap int, args ...any) (int64, abi.Errno) {
+// Output slots for call, mirroring the kernel's call accessors
+// (core/call.go): each names where a result lands and how that crosses.
+type (
+	// readBuf is a read destination of n bytes (buf): its length
+	// crosses on both transports, and sync stages it in scratch.
+	readBuf int
+	// outBuf is a result buffer of n bytes (outBuf): sync stages it and
+	// sends (ptr, n); a message reply is unbounded, so async sends
+	// nothing.
+	outBuf int
+	// outRec is a fixed-size result record (out): sync stages it and
+	// sends its pointer; async sends nothing.
+	outRec int
+)
+
+// call issues a system call on the process's transport. Inputs are
+// int64, int, string, []byte, []string, []int or []abi.Pollfd; outputs
+// are at most one readBuf, outBuf or outRec (a pollfd array doubles as
+// its revents' destination). The async transport clones inputs as they
+// are (lists as arrays, pollfds as flat [fd, events, ...]). The sync
+// transport stages a string or buffer in scratch as a (ptr,len) pair, a
+// string list NUL-packed the same way, an int list as int32 records and
+// pollfds as packed records (ptr,count), in argument order. The reply's
+// decoders mirror the kernel's reply encodings.
+func (r *workerRT) call(trap int, args ...any) reply {
 	if !r.sync {
-		vals := make([]browser.Value, len(args))
-		for i, a := range args {
+		vals := make([]browser.Value, 0, len(args))
+		for _, a := range args {
 			switch x := a.(type) {
 			case int:
-				vals[i] = int64(x)
+				vals = append(vals, int64(x))
+			case readBuf:
+				vals = append(vals, int64(x))
+			case outBuf, outRec:
+				// The reply carries the result itself.
 			case []string:
-				vals[i] = browser.StringArray(x)
+				vals = append(vals, browser.StringArray(x))
 			case []int:
 				fv := make([]browser.Value, len(x))
 				for j, n := range x {
 					fv[j] = int64(n)
 				}
-				vals[i] = fv
-			case int64, string:
-				vals[i] = x
+				vals = append(vals, fv)
+			case []abi.Pollfd:
+				fv := make([]browser.Value, 0, 2*len(x))
+				for _, f := range x {
+					fv = append(fv, int64(f.Fd), int64(f.Events))
+				}
+				vals = append(vals, fv)
+			case int64, string, []byte:
+				vals = append(vals, x)
 			default:
 				panic(fmt.Sprintf("rt: call argument of type %T", a))
 			}
 		}
 		ret := r.asyncCall(abi.SyscallName(trap), vals...)
-		return vi(ret, 0), verr(ret)
+		p := reply{ret: vi(ret, 0), err: verr(ret)}
+		if len(ret) > 2 {
+			p.extra = ret[2:]
+		}
+		return p
 	}
 	ia := make([]int64, 0, 2*len(args))
+	var out, outLen int64
 	for _, a := range args {
 		switch x := a.(type) {
 		case int:
@@ -369,6 +402,9 @@ func (r *workerRT) call(trap int, args ...any) (int64, abi.Errno) {
 			ia = append(ia, x)
 		case string:
 			p, n := r.putStr(x)
+			ia = append(ia, p, n)
+		case []byte:
+			p, n := r.putBytes(x)
 			ia = append(ia, p, n)
 		case []string:
 			p, n := r.putStr(posix.JoinNul(x))
@@ -380,16 +416,164 @@ func (r *workerRT) call(trap int, args ...any) (int64, abi.Errno) {
 			}
 			p, _ := r.putBytes(packed)
 			ia = append(ia, p, int64(len(x)))
+		case []abi.Pollfd:
+			packed := make([]byte, len(x)*abi.PollfdSize)
+			abi.PackPollfds(packed, x)
+			out, outLen = r.putBytes(packed)
+			ia = append(ia, out, int64(len(x)))
+		case readBuf:
+			out, outLen = r.alloc(int64(x)), int64(x)
+			ia = append(ia, out, outLen)
+		case outBuf:
+			out, outLen = r.alloc(int64(x)), int64(x)
+			ia = append(ia, out, outLen)
+		case outRec:
+			out, outLen = r.alloc(int64(x)), int64(x)
+			ia = append(ia, out)
 		default:
 			panic(fmt.Sprintf("rt: call argument of type %T", a))
 		}
 	}
-	return r.syncCall(trap, ia...)
+	ret, err := r.syncCall(trap, ia...)
+	return reply{sync: true, ret: ret, err: err, out: r.heap.Bytes()[out : out+outLen]}
+}
+
+// reply is a completed call: (ret, errno) plus the result the kernel
+// delivered — the message reply's values past (ret, errno), or the heap
+// bytes of the call's output slot. Decode it before the next call reuses
+// scratch.
+type reply struct {
+	sync  bool
+	ret   int64
+	err   abi.Errno
+	extra []browser.Value
+	out   []byte
+}
+
+func (p reply) num() (int, abi.Errno) { return int(p.ret), p.err }
+
+func (p reply) extraAt(i int) browser.Value {
+	if i < len(p.extra) {
+		return p.extra[i]
+	}
+	return nil
+}
+
+// data decodes replyData: the bytes read.
+func (p reply) data() ([]byte, abi.Errno) {
+	if p.err != abi.OK {
+		return nil, p.err
+	}
+	if !p.sync {
+		b, _ := p.extraAt(0).([]byte)
+		return b, abi.OK
+	}
+	b := make([]byte, p.ret)
+	copy(b, p.out)
+	return b, abi.OK
+}
+
+// str decodes replyStr.
+func (p reply) str() (string, abi.Errno) {
+	if p.err != abi.OK {
+		return "", p.err
+	}
+	if !p.sync {
+		s, _ := p.extraAt(0).(string)
+		return s, abi.OK
+	}
+	return string(p.out[:p.ret]), abi.OK
+}
+
+// stat decodes replyStat.
+func (p reply) stat() (abi.Stat, abi.Errno) {
+	if p.err != abi.OK {
+		return abi.Stat{}, p.err
+	}
+	if !p.sync {
+		m, ok := p.extraAt(0).(map[string]browser.Value)
+		if !ok {
+			return abi.Stat{}, abi.EIO
+		}
+		return abi.StatFromMap(m), abi.OK
+	}
+	return abi.UnpackStat(p.out), abi.OK
+}
+
+// dirents decodes replyDirents.
+func (p reply) dirents() ([]abi.Dirent, abi.Errno) {
+	if p.err != abi.OK {
+		return nil, p.err
+	}
+	if p.sync {
+		return abi.UnpackDirents(p.out[:p.ret]), abi.OK
+	}
+	arr, _ := p.extraAt(0).([]browser.Value)
+	var out []abi.Dirent
+	for _, v := range arr {
+		if m, ok := v.(map[string]browser.Value); ok {
+			out = append(out, abi.DirentFromMap(m))
+		}
+	}
+	return out, abi.OK
+}
+
+// int32At reads the little-endian int32 at off in the output slot.
+func (p reply) int32At(off int) int {
+	return int(int32(binary.LittleEndian.Uint32(p.out[off:])))
+}
+
+// pipe decodes replyPipe: the read and write descriptors.
+func (p reply) pipe() (int, int, abi.Errno) {
+	if p.err != abi.OK {
+		return -1, -1, p.err
+	}
+	if p.sync {
+		return p.int32At(0), p.int32At(4), abi.OK
+	}
+	return int(vi(p.extra, 0)), int(vi(p.extra, 1)), abi.OK
+}
+
+// wait decodes replyWait: the reaped pid and its status.
+func (p reply) wait() (int, int, abi.Errno) {
+	if p.err != abi.OK {
+		return 0, 0, p.err
+	}
+	if p.sync {
+		return int(p.ret), p.int32At(0), abi.OK
+	}
+	return int(p.ret), int(vi(p.extra, 0)), abi.OK
+}
+
+// poll decodes replyPoll, writing each revents into fds in place.
+func (p reply) poll(fds []abi.Pollfd) (int, abi.Errno) {
+	if p.err != abi.OK {
+		return int(p.ret), p.err
+	}
+	if p.sync {
+		got := abi.UnpackPollfds(p.out, len(fds))
+		for i := range fds {
+			fds[i].Revents = got[i].Revents
+		}
+		return int(p.ret), abi.OK
+	}
+	if arr, ok := p.extraAt(0).([]browser.Value); ok {
+		for i := range fds {
+			fds[i].Revents = 0
+			if i < len(arr) {
+				if v, ok := arr[i].(int64); ok {
+					fds[i].Revents = uint32(v)
+				}
+			}
+		}
+	}
+	return int(p.ret), abi.OK
 }
 
 // ---------------------------------------------------------------------------
 // posix.Proc implementation. Every method follows the runtime's
-// transport; reply decoding mirrors the kernel's encodings.
+// transport through call, except the zero-copy, ring fan-out and fork
+// paths.
 // ---------------------------------------------------------------------------
 
 func vi(ret []browser.Value, i int) int64 {
@@ -410,8 +594,8 @@ func verr(ret []browser.Value) abi.Errno { return abi.Errno(vi(ret, 1)) }
 
 func (r *workerRT) Getpid() int { return r.pid }
 func (r *workerRT) Getppid() int {
-	ret, _ := r.call(abi.SYS_getppid)
-	return int(ret)
+	ppid, _ := r.call(abi.SYS_getppid).num()
+	return ppid
 }
 func (r *workerRT) Args() []string    { return r.args }
 func (r *workerRT) Environ() []string { return r.env }
@@ -421,8 +605,7 @@ func (r *workerRT) Getenv(key string) string {
 func (r *workerRT) Setenv(key, value string) { r.env = posix.SetEnv(r.env, key, value) }
 
 func (r *workerRT) Open(path string, flags int, mode uint32) (int, abi.Errno) {
-	ret, err := r.call(abi.SYS_open, path, flags, int64(mode))
-	return int(ret), err
+	return r.call(abi.SYS_open, path, flags, int64(mode)).num()
 }
 
 func (r *workerRT) Close(fd int) abi.Errno {
@@ -434,66 +617,44 @@ func (r *workerRT) Close(fd int) abi.Errno {
 		_, err := r.syncCallLeased(abi.SYS_close, int64(fd))
 		return err
 	}
-	return verr(r.asyncCall("close", int64(fd)))
+	return r.call(abi.SYS_close, fd).err
 }
 
 func (r *workerRT) Read(fd int, n int) ([]byte, abi.Errno) {
 	if r.sync {
+		// A request larger than the scratch region degrades to a short
+		// read rather than overflowing the staging area. The zero-copy
+		// path's grant reply is not bounded by scratch — only its copy
+		// fallback's staging buffer is.
+		bufLen := n
+		if max := r.maxScratchPayload(); int64(bufLen) > max {
+			bufLen = int(max)
+		}
 		if r.poolOK {
-			// Zero-copy path: the grant reply is not bounded by the
-			// scratch region — only the copy fallback's staging buffer
-			// is, degrading oversized cold reads to short reads.
-			bufLen := n
-			if max := r.maxScratchPayload(); int64(bufLen) > max {
-				bufLen = int(max)
-			}
 			return r.readLeased(fd, n, bufLen)
 		}
-		// A request larger than the scratch region degrades to a short
-		// read rather than overflowing the staging area.
-		if max := r.maxScratchPayload(); int64(n) > max {
-			n = int(max)
-		}
-		ptr := r.alloc(int64(n))
-		ret, err := r.syncCall(abi.SYS_read, int64(fd), ptr, int64(n))
-		if err != abi.OK {
-			return nil, err
-		}
-		out := make([]byte, ret)
-		copy(out, r.heap.Bytes()[ptr:ptr+ret])
-		return out, abi.OK
+		n = bufLen
 	}
-	ret := r.asyncCall("read", int64(fd), int64(n))
-	if err := verr(ret); err != abi.OK {
-		return nil, err
-	}
-	if len(ret) > 2 {
-		b, _ := ret[2].([]byte)
-		return b, abi.OK
-	}
-	return nil, abi.OK
+	return r.call(abi.SYS_read, fd, readBuf(n)).data()
 }
 
 func (r *workerRT) Write(fd int, b []byte) (int, abi.Errno) {
-	if r.sync {
-		if r.wgOK && len(b) > 0 {
-			// Zero-copy path: stage the payload into leased arena slots
-			// and submit references — no bytes cross through scratch.
-			if n, err, ok := r.writeStaged(fd, b); ok {
-				return n, err
-			}
+	if r.sync && r.wgOK && len(b) > 0 {
+		// Zero-copy path: stage the payload into leased arena slots and
+		// submit references — no bytes cross through scratch.
+		if n, err, ok := r.writeStaged(fd, b); ok {
+			return n, err
 		}
-		return r.writePlain(fd, b)
 	}
-	ret := r.asyncCall("write", int64(fd), b)
-	return int(vi(ret, 0)), verr(ret)
+	return r.writePlain(fd, b)
 }
 
-// writePlain is the classic sync write: payload staged through the
-// scratch region, one kernel copy out of the heap.
+// writePlain is the classic write: the payload crosses in the message,
+// or is staged through the sync scratch region for one kernel copy out
+// of the heap.
 func (r *workerRT) writePlain(fd int, b []byte) (int, abi.Errno) {
-	// Buffers larger than the scratch region go out in pieces.
-	if max := r.maxScratchPayload(); int64(len(b)) > max {
+	// Sync buffers larger than the scratch region go out in pieces.
+	if max := r.maxScratchPayload(); r.sync && int64(len(b)) > max {
 		if max <= 0 {
 			return 0, abi.ENOMEM
 		}
@@ -520,9 +681,7 @@ func (r *workerRT) writePlain(fd int, b []byte) (int, abi.Errno) {
 		}
 		return total, abi.OK
 	}
-	ptr, n := r.putBytes(b)
-	ret, err := r.syncCall(abi.SYS_write, int64(fd), ptr, n)
-	return int(ret), err
+	return r.call(abi.SYS_write, fd, b).num()
 }
 
 // Readv reads up to the sum of lens bytes in a single kernel crossing,
@@ -671,35 +830,11 @@ func (r *workerRT) Writev(fd int, bufs [][]byte) (int64, abi.Errno) {
 }
 
 func (r *workerRT) Pread(fd int, n int, off int64) ([]byte, abi.Errno) {
-	if r.sync {
-		ptr := r.alloc(int64(n))
-		ret, err := r.syncCall(abi.SYS_pread, int64(fd), ptr, int64(n), off)
-		if err != abi.OK {
-			return nil, err
-		}
-		out := make([]byte, ret)
-		copy(out, r.heap.Bytes()[ptr:ptr+ret])
-		return out, abi.OK
-	}
-	ret := r.asyncCall("pread", int64(fd), int64(n), off)
-	if err := verr(ret); err != abi.OK {
-		return nil, err
-	}
-	if len(ret) > 2 {
-		b, _ := ret[2].([]byte)
-		return b, abi.OK
-	}
-	return nil, abi.OK
+	return r.call(abi.SYS_pread, fd, readBuf(n), off).data()
 }
 
 func (r *workerRT) Pwrite(fd int, b []byte, off int64) (int, abi.Errno) {
-	if r.sync {
-		ptr, n := r.putBytes(b)
-		ret, err := r.syncCall(abi.SYS_pwrite, int64(fd), ptr, n, off)
-		return int(ret), err
-	}
-	ret := r.asyncCall("pwrite", int64(fd), b, off)
-	return int(vi(ret, 0)), verr(ret)
+	return r.call(abi.SYS_pwrite, fd, b, off).num()
 }
 
 func (r *workerRT) Seek(fd int, off int64, whence int) (int64, abi.Errno) {
@@ -710,18 +845,16 @@ func (r *workerRT) Seek(fd int, off int64, whence int) (int64, abi.Errno) {
 		r.dropFdLeases(fd)
 		return r.syncCallLeased(abi.SYS_llseek, int64(fd), off, int64(whence))
 	}
-	ret := r.asyncCall("llseek", int64(fd), off, int64(whence))
-	return vi(ret, 0), verr(ret)
+	p := r.call(abi.SYS_llseek, fd, off, whence)
+	return p.ret, p.err
 }
 
 func (r *workerRT) Ftruncate(fd int, size int64) abi.Errno {
-	_, err := r.call(abi.SYS_ftruncate, fd, size)
-	return err
+	return r.call(abi.SYS_ftruncate, fd, size).err
 }
 
 func (r *workerRT) Fsync(fd int) abi.Errno {
-	_, err := r.call(abi.SYS_fsync, fd)
-	return err
+	return r.call(abi.SYS_fsync, fd).err
 }
 
 func (r *workerRT) Dup2(oldfd, newfd int) abi.Errno {
@@ -735,36 +868,14 @@ func (r *workerRT) Dup2(oldfd, newfd int) abi.Errno {
 		_, err := r.syncCallLeased(abi.SYS_dup2, int64(oldfd), int64(newfd))
 		return err
 	}
-	return verr(r.asyncCall("dup2", int64(oldfd), int64(newfd)))
-}
-
-func (r *workerRT) statCall(trap int, path string) (abi.Stat, abi.Errno) {
-	if r.sync {
-		p, n := r.putStr(path)
-		sp := r.alloc(abi.StatSize)
-		_, err := r.syncCall(trap, p, n, sp)
-		if err != abi.OK {
-			return abi.Stat{}, err
-		}
-		return abi.UnpackStat(r.heap.Bytes()[sp : sp+abi.StatSize]), abi.OK
-	}
-	ret := r.asyncCall(abi.SyscallName(trap), path)
-	if err := verr(ret); err != abi.OK {
-		return abi.Stat{}, err
-	}
-	if len(ret) > 2 {
-		if m, ok := ret[2].(map[string]browser.Value); ok {
-			return abi.StatFromMap(m), abi.OK
-		}
-	}
-	return abi.Stat{}, abi.EIO
+	return r.call(abi.SYS_dup2, oldfd, newfd).err
 }
 
 func (r *workerRT) Stat(path string) (abi.Stat, abi.Errno) {
-	return r.statCall(abi.SYS_stat, path)
+	return r.call(abi.SYS_stat, path, outRec(abi.StatSize)).stat()
 }
 func (r *workerRT) Lstat(path string) (abi.Stat, abi.Errno) {
-	return r.statCall(abi.SYS_lstat, path)
+	return r.call(abi.SYS_lstat, path, outRec(abi.StatSize)).stat()
 }
 
 // StatBatchAmortized implements posix.StatBatchAmortizer: only the ring
@@ -833,150 +944,64 @@ func (r *workerRT) StatBatch(paths []string, lstat bool) ([]abi.Stat, []abi.Errn
 }
 
 func (r *workerRT) Fstat(fd int) (abi.Stat, abi.Errno) {
-	if r.sync {
-		sp := r.alloc(abi.StatSize)
-		_, err := r.syncCall(abi.SYS_fstat, int64(fd), sp)
-		if err != abi.OK {
-			return abi.Stat{}, err
-		}
-		return abi.UnpackStat(r.heap.Bytes()[sp : sp+abi.StatSize]), abi.OK
-	}
-	ret := r.asyncCall("fstat", int64(fd))
-	if err := verr(ret); err != abi.OK {
-		return abi.Stat{}, err
-	}
-	if len(ret) > 2 {
-		if m, ok := ret[2].(map[string]browser.Value); ok {
-			return abi.StatFromMap(m), abi.OK
-		}
-	}
-	return abi.Stat{}, abi.EIO
+	return r.call(abi.SYS_fstat, fd, outRec(abi.StatSize)).stat()
 }
 
 func (r *workerRT) Access(path string, mode int) abi.Errno {
-	_, err := r.call(abi.SYS_access, path, mode)
-	return err
+	return r.call(abi.SYS_access, path, mode).err
 }
 
 func (r *workerRT) Readlink(path string) (string, abi.Errno) {
-	if r.sync {
-		p, n := r.putStr(path)
-		bp := r.alloc(4096)
-		ret, err := r.syncCall(abi.SYS_readlink, p, n, bp, 4096)
-		if err != abi.OK {
-			return "", err
-		}
-		return string(r.heap.Bytes()[bp : bp+ret]), abi.OK
-	}
-	ret := r.asyncCall("readlink", path)
-	if err := verr(ret); err != abi.OK {
-		return "", err
-	}
-	s, _ := ret[2].(string)
-	return s, abi.OK
+	return r.call(abi.SYS_readlink, path, outBuf(4096)).str()
 }
 
 func (r *workerRT) Utimes(path string, atime, mtime int64) abi.Errno {
-	_, err := r.call(abi.SYS_utimes, path, atime, mtime)
-	return err
+	return r.call(abi.SYS_utimes, path, atime, mtime).err
 }
 
 func (r *workerRT) Mkdir(path string, mode uint32) abi.Errno {
-	_, err := r.call(abi.SYS_mkdir, path, int64(mode))
-	return err
+	return r.call(abi.SYS_mkdir, path, int64(mode)).err
 }
 
 func (r *workerRT) Rmdir(path string) abi.Errno {
-	_, err := r.call(abi.SYS_rmdir, path)
-	return err
+	return r.call(abi.SYS_rmdir, path).err
 }
 
 func (r *workerRT) Unlink(path string) abi.Errno {
-	_, err := r.call(abi.SYS_unlink, path)
-	return err
+	return r.call(abi.SYS_unlink, path).err
 }
 
 func (r *workerRT) Rename(oldp, newp string) abi.Errno {
-	_, err := r.call(abi.SYS_rename, oldp, newp)
-	return err
+	return r.call(abi.SYS_rename, oldp, newp).err
 }
 
 func (r *workerRT) Symlink(target, link string) abi.Errno {
-	_, err := r.call(abi.SYS_symlink, target, link)
-	return err
+	return r.call(abi.SYS_symlink, target, link).err
 }
 
 func (r *workerRT) Getdents(fd int) ([]abi.Dirent, abi.Errno) {
-	if r.sync {
-		const bufLen = 64 * 1024
-		bp := r.alloc(bufLen)
-		ret, err := r.syncCall(abi.SYS_getdents, int64(fd), bp, bufLen)
-		if err != abi.OK {
-			return nil, err
-		}
-		return abi.UnpackDirents(r.heap.Bytes()[bp : bp+ret]), abi.OK
-	}
-	ret := r.asyncCall("getdents", int64(fd))
-	if err := verr(ret); err != abi.OK {
-		return nil, err
-	}
-	var out []abi.Dirent
-	if len(ret) > 2 {
-		if arr, ok := ret[2].([]browser.Value); ok {
-			for _, v := range arr {
-				if m, ok := v.(map[string]browser.Value); ok {
-					out = append(out, abi.DirentFromMap(m))
-				}
-			}
-		}
-	}
-	return out, abi.OK
+	return r.call(abi.SYS_getdents, fd, outBuf(64*1024)).dirents()
 }
 
 func (r *workerRT) Chdir(path string) abi.Errno {
-	_, err := r.call(abi.SYS_chdir, path)
-	return err
+	return r.call(abi.SYS_chdir, path).err
 }
 
 func (r *workerRT) Getcwd() (string, abi.Errno) {
-	if r.sync {
-		bp := r.alloc(4096)
-		ret, err := r.syncCall(abi.SYS_getcwd, bp, 4096)
-		if err != abi.OK {
-			return "", err
-		}
-		return string(r.heap.Bytes()[bp : bp+ret]), abi.OK
-	}
-	ret := r.asyncCall("getcwd")
-	if err := verr(ret); err != abi.OK {
-		return "", err
-	}
-	s, _ := ret[2].(string)
-	return s, abi.OK
+	return r.call(abi.SYS_getcwd, outBuf(4096)).str()
 }
 
 func (r *workerRT) Pipe() (int, int, abi.Errno) {
-	if r.sync {
-		fp := r.alloc(8)
-		_, err := r.syncCall(abi.SYS_pipe2, fp)
-		if err != abi.OK {
-			return -1, -1, err
-		}
-		b := r.heap.Bytes()
-		rfd := int(int32(uint32(b[fp]) | uint32(b[fp+1])<<8 | uint32(b[fp+2])<<16 | uint32(b[fp+3])<<24))
-		wfd := int(int32(uint32(b[fp+4]) | uint32(b[fp+5])<<8 | uint32(b[fp+6])<<16 | uint32(b[fp+7])<<24))
-		return rfd, wfd, abi.OK
+	if !r.sync {
+		// The message still carries pipe2's flags word, which the kernel
+		// ignores.
+		return r.call(abi.SYS_pipe2, 0).pipe()
 	}
-	ret := r.asyncCall("pipe2", int64(0))
-	if err := verr(ret); err != abi.OK {
-		return -1, -1, err
-	}
-	return int(vi(ret, 2)), int(vi(ret, 3)), abi.OK
+	return r.call(abi.SYS_pipe2, outRec(8)).pipe()
 }
 
 func (r *workerRT) Spawn(path string, argv, env []string, files []int) (int, abi.Errno) {
-	ret, err := r.call(abi.SYS_spawn, path, argv, env, files)
-	return int(ret), err
+	return r.call(abi.SYS_spawn, path, argv, env, files).num()
 }
 
 func (r *workerRT) Fork(label string, mem []byte) (int, abi.Errno) {
@@ -990,26 +1015,11 @@ func (r *workerRT) Fork(label string, mem []byte) (int, abi.Errno) {
 }
 
 func (r *workerRT) Exec(path string, argv, env []string) abi.Errno {
-	_, err := r.call(abi.SYS_exec, path, argv, env)
-	return err
+	return r.call(abi.SYS_exec, path, argv, env).err
 }
 
 func (r *workerRT) Wait4(pid int, options int) (int, int, abi.Errno) {
-	if r.sync {
-		sp := r.alloc(4)
-		ret, err := r.syncCall(abi.SYS_wait4, int64(pid), sp, int64(options))
-		if err != abi.OK {
-			return 0, 0, err
-		}
-		b := r.heap.Bytes()
-		status := int(int32(uint32(b[sp]) | uint32(b[sp+1])<<8 | uint32(b[sp+2])<<16 | uint32(b[sp+3])<<24))
-		return int(ret), status, abi.OK
-	}
-	ret := r.asyncCall("wait4", int64(pid), int64(options))
-	if err := verr(ret); err != abi.OK {
-		return 0, 0, err
-	}
-	return int(vi(ret, 0)), int(vi(ret, 2)), abi.OK
+	return r.call(abi.SYS_wait4, pid, outRec(4), options).wait()
 }
 
 func (r *workerRT) Exit(code int) {
@@ -1017,8 +1027,7 @@ func (r *workerRT) Exit(code int) {
 }
 
 func (r *workerRT) Kill(pid, sig int) abi.Errno {
-	_, err := r.call(abi.SYS_kill, pid, sig)
-	return err
+	return r.call(abi.SYS_kill, pid, sig).err
 }
 
 func (r *workerRT) Signal(sig int, handler func(int)) abi.Errno {
@@ -1026,7 +1035,7 @@ func (r *workerRT) Signal(sig int, handler func(int)) abi.Errno {
 	if handler == nil {
 		action = 0
 	}
-	if _, err := r.call(abi.SYS_signal, sig, action); err != abi.OK {
+	if err := r.call(abi.SYS_signal, sig, action).err; err != abi.OK {
 		return err
 	}
 	if handler == nil {
@@ -1038,33 +1047,27 @@ func (r *workerRT) Signal(sig int, handler func(int)) abi.Errno {
 }
 
 func (r *workerRT) Socket() (int, abi.Errno) {
-	ret, err := r.call(abi.SYS_socket)
-	return int(ret), err
+	return r.call(abi.SYS_socket).num()
 }
 
 func (r *workerRT) Bind(fd, port int) abi.Errno {
-	_, err := r.call(abi.SYS_bind, fd, port)
-	return err
+	return r.call(abi.SYS_bind, fd, port).err
 }
 
 func (r *workerRT) Listen(fd, backlog int) abi.Errno {
-	_, err := r.call(abi.SYS_listen, fd, backlog)
-	return err
+	return r.call(abi.SYS_listen, fd, backlog).err
 }
 
 func (r *workerRT) Connect(fd, port int) abi.Errno {
-	_, err := r.call(abi.SYS_connect, fd, port)
-	return err
+	return r.call(abi.SYS_connect, fd, port).err
 }
 
 func (r *workerRT) Accept(fd int) (int, abi.Errno) {
-	ret, err := r.call(abi.SYS_accept, fd)
-	return int(ret), err
+	return r.call(abi.SYS_accept, fd).num()
 }
 
 func (r *workerRT) Getsockname(fd int) (int, abi.Errno) {
-	ret, err := r.call(abi.SYS_getsockname, fd)
-	return int(ret), err
+	return r.call(abi.SYS_getsockname, fd).num()
 }
 
 // AcceptBatch drains the listener backlog as non-blocking accepts. On
@@ -1097,14 +1100,14 @@ func (r *workerRT) AcceptBatch(fd, max int) ([]int, abi.Errno) {
 	}
 	var fds []int
 	for len(fds) < max {
-		ret, err := r.call(abi.SYS_accept, fd, abi.O_NONBLOCK)
+		conn, err := r.call(abi.SYS_accept, fd, abi.O_NONBLOCK).num()
 		if err != abi.OK {
 			if err == abi.EAGAIN || len(fds) > 0 {
 				break
 			}
 			return nil, err
 		}
-		fds = append(fds, int(ret))
+		fds = append(fds, conn)
 	}
 	return fds, abi.OK
 }
@@ -1116,46 +1119,11 @@ func (r *workerRT) Poll(fds []abi.Pollfd, timeoutNs int64) (int, abi.Errno) {
 	if len(fds) == 0 {
 		return 0, abi.EINVAL
 	}
-	if r.sync {
-		buf := make([]byte, len(fds)*abi.PollfdSize)
-		abi.PackPollfds(buf, fds)
-		ptr, blen := r.putBytes(buf)
-		ret, err := r.syncCall(abi.SYS_poll, ptr, int64(len(fds)), timeoutNs)
-		if err != abi.OK {
-			return int(ret), err
-		}
-		got := abi.UnpackPollfds(r.heap.Bytes()[ptr:ptr+blen], len(fds))
-		for i := range fds {
-			fds[i].Revents = got[i].Revents
-		}
-		return int(ret), abi.OK
-	}
-	raw := make([]browser.Value, 0, len(fds)*2)
-	for _, f := range fds {
-		raw = append(raw, int64(f.Fd), int64(f.Events))
-	}
-	ret := r.asyncCall("poll", raw, timeoutNs)
-	if err := verr(ret); err != abi.OK {
-		return int(vi(ret, 0)), err
-	}
-	if len(ret) > 2 {
-		if arr, ok := ret[2].([]browser.Value); ok {
-			for i := range fds {
-				fds[i].Revents = 0
-				if i < len(arr) {
-					if v, ok := arr[i].(int64); ok {
-						fds[i].Revents = uint32(v)
-					}
-				}
-			}
-		}
-	}
-	return int(vi(ret, 0)), abi.OK
+	return r.call(abi.SYS_poll, fds, timeoutNs).poll(fds)
 }
 
 func (r *workerRT) Setfl(fd, flags int) abi.Errno {
-	_, err := r.call(abi.SYS_setfl, fd, flags)
-	return err
+	return r.call(abi.SYS_setfl, fd, flags).err
 }
 
 func (r *workerRT) CPU(ns int64) {

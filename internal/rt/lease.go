@@ -152,14 +152,7 @@ func (r *workerRT) readLeased(fd, want, bufLen int) ([]byte, abi.Errno) {
 		if avail := r.scratchTop - base - 16; avail > 0 && int64(scalarBuf) > avail {
 			scalarBuf = int(avail)
 		}
-		ptr := r.alloc(int64(scalarBuf))
-		ret, err := r.syncCall(abi.SYS_read, int64(fd), ptr, int64(scalarBuf))
-		if err != abi.OK {
-			return nil, err
-		}
-		out := make([]byte, ret)
-		copy(out, r.heap.Bytes()[ptr:ptr+ret])
-		return out, abi.OK
+		return r.call(abi.SYS_read, fd, readBuf(scalarBuf)).data()
 	}
 	reqs := r.stageUnleases(nil)
 	bufPtr := r.alloc(int64(bufLen))

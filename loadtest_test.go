@@ -4,6 +4,7 @@ import (
 	"archive/zip"
 	"bytes"
 	"crypto/sha1"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -38,12 +39,21 @@ func bootMemeLoad(t testing.TB, sync, disableRing bool) *browsix.Instance {
 		image := map[string][]byte{}
 		rt.InstallExecutable(image, "/usr/bin/meme-server", "meme-server", rt.WasmKind)
 		for p, b := range image {
-			if err := in.WriteFile(p, b); err != abi.OK {
-				t.Fatalf("staging %s: %v", p, err)
-			}
+			writeFile(t, in, p, b)
 		}
 	}
 	return in
+}
+
+// templatesJSON is the exact body of GET /api/templates.
+func templatesJSON() string {
+	var names []string
+	for n := range meme.Templates() {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	out, _ := json.Marshal(names)
+	return string(out)
 }
 
 // healthSwarm builds the standard saturation workload: every request is
@@ -75,14 +85,18 @@ func TestMemeServerLoadGuard(t *testing.T) {
 		}
 		in.StartMemeServerArgs(args...)
 		bad := 0
-		s.OnResponse = func(_, _ int, resp *httpx.Response) {
-			if resp.Status != 200 || string(resp.Body) != "ok" {
+		s.OnResponse = func(client, seq int, resp *httpx.Response) {
+			want := "ok"
+			if s.Request(client, seq).Path == "/api/templates" {
+				want = templatesJSON()
+			}
+			if resp.Status != 200 || string(resp.Body) != want {
 				bad++
 			}
 		}
 		rep := browsix.RunSwarm(in, s, meme.Port)
 		if bad != 0 {
-			t.Errorf("serial=%v: %d responses were not 200 ok", serial, bad)
+			t.Errorf("serial=%v: %d responses were not 200 with their route's body", serial, bad)
 		}
 		return rep
 	}
@@ -96,6 +110,14 @@ func TestMemeServerLoadGuard(t *testing.T) {
 	// measures server capacity either way.
 	evSwarm := healthSwarm(1000, 3, true)
 	evSwarm.OpenLoop = true
+	// Every 20th request lists the templates: pipelined responses of
+	// different lengths catch a client that reuses a body's buffer.
+	evSwarm.Request = func(client, seq int) *httpx.Request {
+		if (client*3+seq)%20 == 0 {
+			return &httpx.Request{Method: "GET", Path: "/api/templates"}
+		}
+		return &httpx.Request{Method: "GET", Path: "/healthz"}
+	}
 	serSwarm := healthSwarm(32, 3, false)
 	serSwarm.MeanGapNs = 20_000_000
 	ev := run(false, evSwarm)
@@ -364,9 +386,7 @@ func runSockEdge(t *testing.T, sync, disableRing bool) (string, []abi.Errno) {
 	image := map[string][]byte{}
 	rt.InstallExecutable(image, "/usr/bin/sockedge", "x-sockedge", kind)
 	for p, b := range image {
-		if err := in.WriteFile(p, b); err != abi.OK {
-			t.Fatalf("staging %s: %v", p, err)
-		}
+		writeFile(t, in, p, b)
 	}
 	var dialErrs []abi.Errno
 	in.OnListen(sockEdgePort, func(int) {

@@ -45,16 +45,16 @@ func TestSnapshotDifferential(t *testing.T) {
 		browsix.InstallBase(in)
 		in.Kernel.DisableRing = disableRing
 		if sync {
-			installWasmCoreutils(t, in)
+			browsix.InstallWasmCoreutils(in)
 		}
-		in.WriteFile("/data/fruit.txt", []byte("banana\napple\ncherry\napple pie\n"))
-		in.WriteFile("/big.bin", payload)
+		writeFile(t, in, "/data/fruit.txt", []byte("banana\napple\ncherry\napple pie\n"))
+		writeFile(t, in, "/big.bin", payload)
 		var r result
 		// Two passes: the first pass's boots capture images, the second
 		// pass's boots must clone them — and nothing may differ.
 		for pass := 0; pass < 2; pass++ {
 			for _, cmd := range snapCmds {
-				res := in.RunCommand(cmd)
+				res := runCmd(t, in, cmd)
 				if res.Code != 0 {
 					t.Fatalf("%s pass %d: %q exited %d: %s", name, pass, cmd, res.Code, res.Stderr)
 				}
@@ -113,11 +113,11 @@ func run0balance(name string, sync, disableRing bool, t *testing.T) error {
 	browsix.InstallBase(in)
 	in.Kernel.DisableRing = disableRing
 	if sync {
-		installWasmCoreutils(t, in)
+		browsix.InstallWasmCoreutils(in)
 	}
-	in.WriteFile("/big.bin", snapPayload())
+	writeFile(t, in, "/big.bin", snapPayload())
 	for pass := 0; pass < 2; pass++ {
-		if res := in.RunCommand("wc -c /big.bin"); res.Code != 0 {
+		if res := runCmd(t, in, "wc -c /big.bin"); res.Code != 0 {
 			return fmt.Errorf("%s balance run exited %d", name, res.Code)
 		}
 	}
@@ -140,8 +140,8 @@ func TestForkSpawnRatioGuard(t *testing.T) {
 		// First run warms caches (and captures when snapshots are on);
 		// the second run measures a cold boot vs a clone boot on equal
 		// cache state.
-		in.RunCommand("echo warm")
-		res := in.RunCommand("echo measured")
+		runCmd(t, in, "echo warm")
+		res := runCmd(t, in, "echo measured")
 		if res.Code != 0 || string(res.Stdout) != "measured\n" {
 			t.Fatalf("echo (snaps=%v) exited %d with %q", snaps, res.Code, res.Stdout)
 		}
@@ -178,7 +178,7 @@ func TestFleetSharedSnapshotNoBleed(t *testing.T) {
 			data := bytes.Repeat([]byte{byte('a' + i)}, 1000+100*i)
 			out[i] = browsix.Job{
 				Name:  fmt.Sprintf("job%d", i),
-				Setup: func(in *browsix.Instance) { stageWasmFleet(in); in.WriteFile("/in.bin", data) },
+				Setup: func(in *browsix.Instance) { stageWasmFleet(in); in.FS().WriteFile("in.bin", data, 0o644) },
 				Spec:  browsix.Spec{Argv: []string{"/usr/bin/wc", "-c", "/in.bin"}},
 			}
 		}
@@ -234,8 +234,8 @@ func TestFleetSharedSnapshotNoBleed(t *testing.T) {
 func TestCheckpointLiveDump(t *testing.T) {
 	in := browsix.Boot(browsix.Config{EnableSnapshots: true})
 	browsix.InstallBase(in)
-	installWasmCoreutils(t, in)
-	in.WriteFile("/big.bin", snapPayload())
+	browsix.InstallWasmCoreutils(in)
+	writeFile(t, in, "/big.bin", snapPayload())
 	var outBuf bytes.Buffer
 	p, err := in.Start(browsix.Spec{
 		Argv:   []string{"/usr/bin/sha1sum", "/big.bin"},

@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	browsix "repro"
-	"repro/internal/abi"
-	"repro/internal/coreutils"
-	"repro/internal/rt"
 )
 
 // Differential proof for the shell case studies: the asynchronous
@@ -16,20 +13,6 @@ import (
 // nothing observable: cache-on and cache-off runs are byte-identical too.
 // The sync instances stage the coreutils on a synchronous runtime (wasm)
 // so every utility syscall travels the path under test.
-
-// installWasmCoreutils restages /usr/bin with sync-runtime builds.
-func installWasmCoreutils(t *testing.T, in *browsix.Instance) {
-	t.Helper()
-	image := map[string][]byte{}
-	for _, name := range coreutils.Names() {
-		rt.InstallExecutable(image, "/usr/bin/"+name, name, rt.WasmKind)
-	}
-	for p, data := range image {
-		if err := in.WriteFile(p, data); err != abi.OK {
-			t.Fatalf("staging %s: %v", p, err)
-		}
-	}
-}
 
 func TestShellCaseStudiesIdenticalAcrossTransports(t *testing.T) {
 	payload := make([]byte, 256*1024)
@@ -49,6 +32,10 @@ func TestShellCaseStudiesIdenticalAcrossTransports(t *testing.T) {
 		"readlink /data/link",
 		"cat /data/link",
 		"ls /data",
+		// SIGPIPE goes to the writer: head exits early, seq dies, and
+		// the shell that created the pipe survives to report head's
+		// status.
+		"seq 1 200000 | head -n 1",
 	}
 	type result struct {
 		stdouts []string
@@ -62,27 +49,20 @@ func TestShellCaseStudiesIdenticalAcrossTransports(t *testing.T) {
 		in.Kernel.DisableRing = disableRing
 		in.VFS.SetCaching(caches)
 		if sync {
-			installWasmCoreutils(t, in)
+			browsix.InstallWasmCoreutils(in)
 		}
-		in.WriteFile("/data/fruit.txt", []byte("banana\napple\ncherry\napple pie\n"))
-		in.WriteFile("/big.bin", payload)
+		writeFile(t, in, "/data/fruit.txt", []byte("banana\napple\ncherry\napple pie\n"))
+		writeFile(t, in, "/big.bin", payload)
 		var r result
 		for _, cmd := range cmds {
-			res := in.RunCommand(cmd)
+			res := runCmd(t, in, cmd)
 			if res.Code != 0 {
 				t.Fatalf("%s: %q exited %d: %s", name, cmd, res.Code, res.Stderr)
 			}
 			r.stdouts = append(r.stdouts, string(res.Stdout))
 		}
-		apples, err := in.ReadFile("/data/apples.txt")
-		if err != abi.OK {
-			t.Fatalf("%s: apples.txt: %v", name, err)
-		}
-		out, err := in.ReadFile("/out.txt")
-		if err != abi.OK {
-			t.Fatalf("%s: out.txt: %v", name, err)
-		}
-		r.apples, r.out = string(apples), string(out)
+		r.apples = string(readFile(t, in, "/data/apples.txt"))
+		r.out = string(readFile(t, in, "/out.txt"))
 		r.ring = in.Kernel.RingSyscalls.Load()
 		return r
 	}
