@@ -265,7 +265,7 @@ func InstallBase(in *Instance) {
 	image["/etc/motd"] = []byte("Browsix (Go reproduction) — Unix in your browser\n")
 	fsv := in.FS()
 	for p, data := range image {
-		if err := fsv.WriteFile(strings.TrimPrefix(p, "/"), data, 0o755); err != nil {
+		if err := fsv.writeFileShared(strings.TrimPrefix(p, "/"), data, 0o755); err != nil {
 			panic("browsix: staging " + p + " failed: " + err.Error())
 		}
 	}

@@ -224,10 +224,14 @@ func mustWrite(in *Instance, p string, data []byte) {
 	}
 }
 
+// stage writes an image of runtime artifacts, which no one modifies, by
+// reference (FSView.writeFileShared).
 func stage(in *Instance, image map[string][]byte) {
 	for p, data := range image {
 		mustMkdirAll(in, parentDir(p))
-		mustWrite(in, p, data)
+		if err := in.FS().writeFileShared(strings.TrimPrefix(p, "/"), data, 0o644); err != nil {
+			panic("browsix: write " + p + ": " + err.Error())
+		}
 	}
 }
 

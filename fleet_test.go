@@ -2,6 +2,7 @@ package browsix_test
 
 import (
 	"bytes"
+	"crypto/sha1"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -9,7 +10,11 @@ import (
 	"testing"
 
 	browsix "repro"
+	"repro/internal/abi"
+	"repro/internal/fs"
 	"repro/internal/meme"
+	"repro/internal/posix"
+	"repro/internal/rt"
 	"repro/internal/tex"
 )
 
@@ -288,6 +293,67 @@ func TestFleetScaling(t *testing.T) {
 		serial.SessionsPerSec, parallel.SessionsPerSec)
 	if speedup < 2 {
 		t.Errorf("4 workers only %.2fx faster than 1 on 4 jobs; want >=2x", speedup)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Staged artifacts are shared by reference across tenants: a tenant that
+// overwrites its copy of an executable in place gets a private clone,
+// and neither the other tenants nor the artifact see the write.
+// ---------------------------------------------------------------------------
+
+func TestFleetTenantArtifactCopyOnWrite(t *testing.T) {
+	const patchOff, patch = 4096, "TENANT-PATCH"
+	artifact := posix.Executable("wc", string(rt.NodeKind), rt.ArtifactSize(rt.NodeKind))
+	pristine := append([]byte(nil), artifact...)
+	patched := append([]byte(nil), pristine...)
+	copy(patched[patchOff:], patch)
+	sha1sum := func(in *browsix.Instance) browsix.JobOutput {
+		var stdout, stderr bytes.Buffer
+		p, err := in.Start(browsix.Spec{Argv: []string{"/usr/bin/sha1sum", "/usr/bin/wc"}, Stdout: &stdout, Stderr: &stderr})
+		if err != nil {
+			return browsix.JobOutput{Code: 127, Stderr: []byte(err.Error())}
+		}
+		code, _ := p.Wait()
+		return browsix.JobOutput{Code: code, Stdout: stdout.Bytes(), Stderr: stderr.Bytes()}
+	}
+	overwrite := func(in *browsix.Instance) browsix.JobOutput {
+		werr, done := abi.Errno(-1), false
+		in.Main(func() {
+			in.VFS.Open("/usr/bin/wc", abi.O_RDWR, 0, func(h fs.FileHandle, err abi.Errno) {
+				if err != abi.OK {
+					werr, done = err, true
+					return
+				}
+				h.Pwrite(patchOff, []byte(patch), func(_ int, err abi.Errno) {
+					h.Close(func(cerr abi.Errno) {
+						if err == abi.OK {
+							err = cerr
+						}
+						werr, done = err, true
+					})
+				})
+			})
+		})
+		if !in.RunUntil(func() bool { return done }) || werr != abi.OK {
+			return browsix.JobOutput{Code: 1, Stderr: []byte(fmt.Sprintf("overwrite: %v", werr))}
+		}
+		return sha1sum(in)
+	}
+	results, _ := (&browsix.Fleet{Workers: 2}).Run([]browsix.Job{
+		{Name: "writer", Setup: browsix.InstallBase, Run: overwrite},
+		{Name: "reader", Setup: browsix.InstallBase, Run: sha1sum},
+	})
+	for i, want := range [][]byte{patched, pristine} {
+		res := results[i]
+		wantOut := fmt.Sprintf("%x  /usr/bin/wc\n", sha1.Sum(want))
+		if res.Err != nil || res.Code != 0 || string(res.Stdout) != wantOut {
+			t.Errorf("%s: err=%v code=%d stdout %q stderr %q, want %q",
+				res.Name, res.Err, res.Code, res.Stdout, res.Stderr, wantOut)
+		}
+	}
+	if !bytes.Equal(artifact, pristine) {
+		t.Error("the shared wc artifact was modified by a tenant's write")
 	}
 }
 

@@ -239,12 +239,23 @@ func (v *FSView) driveErr(op, name string, fn func(cb func(Errno))) error {
 
 // WriteFile creates or truncates name with data.
 func (v *FSView) WriteFile(name string, data []byte, perm iofs.FileMode) error {
+	return v.writeFile(name, data, perm, v.in.VFS.WriteFile)
+}
+
+// writeFileShared is WriteFile for bytes no one will ever modify (staged
+// runtime artifacts): the file system keeps them by reference,
+// copy-on-write, instead of copying them.
+func (v *FSView) writeFileShared(name string, data []byte, perm iofs.FileMode) error {
+	return v.writeFile(name, data, perm, v.in.VFS.WriteFileShared)
+}
+
+func (v *FSView) writeFile(name string, data []byte, perm iofs.FileMode, write func(string, []byte, uint32, func(Errno))) error {
 	ap, err := v.abs("writefile", name)
 	if err != nil {
 		return err
 	}
 	return v.driveErr("writefile", name, func(cb func(Errno)) {
-		v.in.VFS.WriteFile(ap, data, uint32(perm.Perm()), cb)
+		write(ap, data, uint32(perm.Perm()), cb)
 	})
 }
 

@@ -179,17 +179,22 @@ func (w *Worker) Terminated() bool { return w.terminated }
 // CreateObjectURL stores data and returns a blob: URL for it, like
 // URL.createObjectURL(new Blob([data])). Browsix uses this to start
 // workers from executables that live only in its file system (§3.3).
+// The blob keeps data itself, not a copy: the caller hands it over and
+// must not modify it afterwards.
 func (s *System) CreateObjectURL(data []byte) string {
 	s.blobSeq++
 	url := fmt.Sprintf("blob:browsix/%d", s.blobSeq)
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.blobs[url] = cp
+	s.blobs[url] = data
 	if s.Sim.Cur() != nil {
 		s.Sim.Charge(s.Profile.BlobURLCreate)
 	}
 	return url
 }
+
+// RevokeObjectURL releases the blob behind url, like
+// URL.revokeObjectURL: workers already built from it keep running, new
+// ones can no longer start from it. Revoking is free.
+func (s *System) RevokeObjectURL(url string) { delete(s.blobs, url) }
 
 // BlobData returns the bytes behind a blob: URL.
 func (s *System) BlobData(url string) ([]byte, bool) {

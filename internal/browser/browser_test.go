@@ -276,6 +276,13 @@ func TestBlobURLs(t *testing.T) {
 	if _, ok := s.BlobData("blob:nope"); ok {
 		t.Fatal("unknown URL resolved")
 	}
+	s.RevokeObjectURL(u1)
+	if _, ok := s.BlobData(u1); ok {
+		t.Fatal("revoked URL still resolves")
+	}
+	if b, ok := s.BlobData(u2); !ok || string(b) != "def" {
+		t.Fatalf("revoking u1 disturbed u2: %q %v", b, ok)
+	}
 }
 
 func TestSABAtomicOps(t *testing.T) {

@@ -314,7 +314,10 @@ func (k *Kernel) Spawn(parent *Task, spec SpawnSpec, cb func(int, abi.Errno)) {
 		// Workers can be built from file-system contents (§3.3). Clone
 		// boots start from the cached bootstrap stub instead — the
 		// expensive artifact was already parsed once, and the restored
-		// image replaces re-running it.
+		// image replaces re-running it. An executable's URL is revoked
+		// as soon as the worker is built from it; only the stubs stay
+		// cached. script is this spawn's private ReadFile result, so
+		// the blob takes it without a copy.
 		var url string
 		if img != nil {
 			url = k.stubURL(path)
@@ -322,6 +325,9 @@ func (k *Kernel) Spawn(parent *Task, spec SpawnSpec, cb func(int, abi.Errno)) {
 			url = k.Sys.CreateObjectURL(script)
 		}
 		w := k.Sys.NewWorker(k.Sys.Main, url, main)
+		if img == nil {
+			k.Sys.RevokeObjectURL(url)
+		}
 		t.worker = w
 		w.OnMessage = func(v browser.Value) { k.onWorkerMessage(t, w, v) }
 

@@ -980,16 +980,39 @@ func (f *FileSystem) ReadFile(p string, cb func([]byte, abi.Errno)) {
 
 // WriteFile creates/truncates a file with the given contents.
 func (f *FileSystem) WriteFile(p string, data []byte, mode uint32, cb func(abi.Errno)) {
+	f.writeFile(p, data, mode, false, cb)
+}
+
+// WriteFileShared is WriteFile for bytes no one will ever modify (staged
+// runtime artifacts): the write-back cache and a backend that can adopt
+// them keep data by reference instead of copying it, and the file turns
+// copy-on-write. Every other path copies, as WriteFile does.
+func (f *FileSystem) WriteFileShared(p string, data []byte, mode uint32, cb func(abi.Errno)) {
+	f.writeFile(p, data, mode, true, cb)
+}
+
+func (f *FileSystem) writeFile(p string, data []byte, mode uint32, shared bool, cb func(abi.Errno)) {
 	f.Open(p, abi.O_WRONLY|abi.O_CREAT|abi.O_TRUNC, mode, func(h FileHandle, err abi.Errno) {
 		if err != abi.OK {
 			cb(err)
 			return
 		}
-		h.Pwrite(0, data, func(n int, err abi.Errno) {
+		write := h.Pwrite
+		if sw, ok := h.(sharedWriter); ok && shared {
+			write = sw.PwriteShared
+		}
+		write(0, data, func(n int, err abi.Errno) {
 			h.Close(func(abi.Errno) {})
 			cb(err)
 		})
 	})
+}
+
+// sharedWriter is the optional FileHandle extension behind
+// WriteFileShared: data is immutable, so the handle may keep it by
+// reference.
+type sharedWriter interface {
+	PwriteShared(off int64, data []byte, cb func(int, abi.Errno))
 }
 
 // ---------------------------------------------------------------------------

@@ -27,8 +27,12 @@ type MemFS struct {
 }
 
 type memNode struct {
-	mode     uint32
-	data     []byte
+	mode uint32
+	data []byte
+	// shared marks data as adopted by reference (PwriteShared): other
+	// owners may hold the same bytes, so it is cloned before any
+	// in-place write.
+	shared   bool
 	target   string // symlink target
 	children map[string]*memNode
 	mtime    int64
@@ -153,7 +157,7 @@ func (m *MemFS) Open(p string, flags int, mode uint32, cb func(FileHandle, abi.E
 			return
 		}
 		if flags&abi.O_TRUNC != 0 {
-			n.data = nil
+			n.data, n.shared = nil, false
 			n.mtime = m.now()
 		}
 	}
@@ -370,14 +374,34 @@ func (h *memHandle) Pwrite(off int64, data []byte, cb func(int, abi.Errno)) {
 		return
 	}
 	end := off + int64(len(data))
-	if end > int64(len(h.n.data)) {
-		grown := make([]byte, end)
-		copy(grown, h.n.data)
-		h.n.data = grown
-	}
-	copy(h.n.data[off:end], data)
+	copy(h.n.writable(end)[off:end], data)
 	h.n.mtime = h.fs.now()
 	cb(len(data), abi.OK)
+}
+
+// PwriteShared implements sharedWriter: a write covering the whole file
+// adopts data by reference and the node turns copy-on-write; any other
+// shape copies, exactly like Pwrite.
+func (h *memHandle) PwriteShared(off int64, data []byte, cb func(int, abi.Errno)) {
+	if off != 0 || len(data) < len(h.n.data) || h.fs.ro || h.n.isDir() {
+		h.Pwrite(off, data, cb)
+		return
+	}
+	h.fs.WriteOps++
+	h.n.data, h.n.shared = data, true
+	h.n.mtime = h.fs.now()
+	cb(len(data), abi.OK)
+}
+
+// writable returns the node's data, at least end bytes long, as a slice
+// it owns: growing reallocates, and shared bytes are cloned first.
+func (n *memNode) writable(end int64) []byte {
+	if end > int64(len(n.data)) || n.shared {
+		grown := make([]byte, max(end, int64(len(n.data))))
+		copy(grown, n.data)
+		n.data, n.shared = grown, false
+	}
+	return n.data
 }
 
 // Preadv implements FileHandle: one bounds check, one copy, returned as
@@ -402,15 +426,10 @@ func (h *memHandle) Pwritev(off int64, bufs [][]byte, cb func(int, abi.Errno)) {
 	for _, b := range bufs {
 		total += int64(len(b))
 	}
-	end := off + total
-	if end > int64(len(h.n.data)) {
-		grown := make([]byte, end)
-		copy(grown, h.n.data)
-		h.n.data = grown
-	}
+	data := h.n.writable(off + total)
 	pos := off
 	for _, b := range bufs {
-		copy(h.n.data[pos:], b)
+		copy(data[pos:], b)
 		pos += int64(len(b))
 	}
 	h.n.mtime = h.fs.now()
@@ -426,12 +445,12 @@ func (h *memHandle) Truncate(size int64, cb func(abi.Errno)) {
 		cb(abi.EROFS)
 		return
 	}
+	// Shrinking re-slices (shared bytes stay shared, never written);
+	// growing reallocates through writable.
 	if size <= int64(len(h.n.data)) {
 		h.n.data = h.n.data[:size]
 	} else {
-		grown := make([]byte, size)
-		copy(grown, h.n.data)
-		h.n.data = grown
+		h.n.writable(size)
 	}
 	h.n.mtime = h.fs.now()
 	cb(abi.OK)

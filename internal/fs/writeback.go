@@ -41,11 +41,13 @@ const maxDirtyBytes = 8 << 20
 // holding its own copy: arenaEnd > 0 records the arena offset one past
 // its last byte (aliased slices are always cap-clamped, so any append
 // through data reallocates to the heap rather than clobbering the
-// neighbouring slot).
+// neighbouring slot). A shared extent aliases a caller's immutable
+// buffer (WriteFileShared), cap-clamped the same way.
 type dirtyExtent struct {
 	off      int64
 	data     []byte
-	arenaEnd int // 0 = heap-backed copy
+	arenaEnd int  // 0 = heap-backed copy
+	shared   bool // data is a caller's immutable buffer
 }
 
 func (e dirtyExtent) end() int64 { return e.off + int64(len(e.data)) }
@@ -63,10 +65,10 @@ type dirtyFile struct {
 	// flusher lands their bytes; see writegrant.go for the ownership
 	// protocol with the guest's own lease.
 	slots []int
-	// flush lands one extent on the backend, bound to the most recent
-	// writer's (open) backend handle. Rebinding on every buffered write
-	// keeps the closure valid: close flushes before the handle dies.
-	flush func(off int64, bufs [][]byte, cb func(int, abi.Errno))
+	// dst is the most recent writer's (open) backend handle, which the
+	// flush lands the extents on. Rebinding on every buffered write
+	// keeps it valid: close flushes before the handle dies.
+	dst FileHandle
 }
 
 // insert merges [off, off+len(data)) into the extent list, newest write
@@ -80,11 +82,12 @@ func (df *dirtyFile) insert(off int64, data []byte) int64 {
 	// Fast path: the pdflatex pattern — appending right after the last
 	// extent — grows it in place.
 	if n := len(e); n > 0 && off == e[n-1].end() {
-		// Appending to an arena-aliased extent reallocates (cap-clamped
-		// alias), leaving a heap-backed copy; its slot stays pinned in
-		// df.slots until the flush, which is harmless.
+		// Appending to an arena-aliased or shared extent reallocates
+		// (cap-clamped alias), leaving a heap-backed copy; an adopted
+		// slot stays pinned in df.slots until the flush, which is
+		// harmless.
 		e[n-1].data = append(e[n-1].data, data...)
-		e[n-1].arenaEnd = 0
+		e[n-1].arenaEnd, e[n-1].shared = 0, false
 		return int64(len(data))
 	}
 	end := off + int64(len(data))
@@ -120,8 +123,10 @@ func (df *dirtyFile) insert(off int64, data []byte) int64 {
 // the clean shapes qualify: growing the last extent when both the file
 // offset and the arena offset continue exactly where it stopped (the
 // append-storm shape: the extent re-slices over the wider arena run), or
-// a brand-new extent overlapping nothing. Anything else returns false
-// and the caller merges through the copying insert.
+// a brand-new extent overlapping nothing. arenaEnd 0 adopts an immutable
+// caller buffer instead (WriteFileShared, cap-clamped by the caller),
+// which can only land as a new extent and is marked shared. Anything
+// else returns false and the caller merges through the copying insert.
 func (df *dirtyFile) insertOwned(off int64, data []byte, arenaEnd int, arena []byte) bool {
 	if len(data) == 0 {
 		return false
@@ -141,7 +146,7 @@ func (df *dirtyFile) insertOwned(off int64, data []byte, arenaEnd int, arena []b
 	if idx > 0 && e[idx-1].end() > off {
 		return false
 	}
-	ne := dirtyExtent{off: off, data: data, arenaEnd: arenaEnd}
+	ne := dirtyExtent{off: off, data: data, arenaEnd: arenaEnd, shared: arenaEnd == 0}
 	df.extents = append(e[:idx:idx], append([]dirtyExtent{ne}, e[idx:]...)...)
 	return true
 }
@@ -322,10 +327,13 @@ func (f *FileSystem) flushPath(p string, cb func(abi.Errno)) {
 	// copying insert merges adjacency away, but slot adoption leaves a
 	// staged run crossing a slot boundary as back-to-back extents, and
 	// they must still land as a single backend call.
+	// A run that is one shared extent keeps its buffer whole, so a
+	// backend that can adopt it by reference gets the chance.
 	type flushRun struct {
-		off  int64
-		n    int
-		bufs [][]byte
+		off    int64
+		n      int
+		bufs   [][]byte
+		shared []byte
 	}
 	var runs []flushRun
 	for _, ext := range df.extents {
@@ -333,9 +341,14 @@ func (f *FileSystem) flushPath(p string, cb func(abi.Errno)) {
 			r := &runs[len(runs)-1]
 			r.bufs = append(r.bufs, pageChunks(ext.data)...)
 			r.n += len(ext.data)
+			r.shared = nil
 			continue
 		}
-		runs = append(runs, flushRun{off: ext.off, n: len(ext.data), bufs: pageChunks(ext.data)})
+		r := flushRun{off: ext.off, n: len(ext.data), bufs: pageChunks(ext.data)}
+		if ext.shared {
+			r.shared = ext.data
+		}
+		runs = append(runs, r)
 	}
 	var step func(i int, firstErr abi.Errno)
 	step = func(i int, firstErr abi.Errno) {
@@ -353,14 +366,19 @@ func (f *FileSystem) flushPath(p string, cb func(abi.Errno)) {
 		}
 		run := runs[i]
 		f.pc.flushWrites.Add(1)
-		df.flush(run.off, run.bufs, func(n int, err abi.Errno) {
+		done := func(n int, err abi.Errno) {
 			if firstErr == abi.OK && err != abi.OK {
 				firstErr = err
 			} else if firstErr == abi.OK && n < run.n {
 				firstErr = abi.EIO
 			}
 			step(i+1, firstErr)
-		})
+		}
+		if sw, ok := df.dst.(sharedWriter); ok && run.shared != nil {
+			sw.PwriteShared(run.off, run.shared, done)
+			return
+		}
+		df.dst.Pwritev(run.off, run.bufs, done)
 	}
 	step(0, abi.OK)
 }
@@ -514,17 +532,22 @@ func (h *writebackHandle) buffered() bool {
 	return h.fs.writeBack && h.fs.cachesOn && h.current()
 }
 
-func (h *writebackHandle) buffer(off int64, data []byte) {
+// buffer absorbs one write into the path's dirty extents; shared data is
+// adopted by reference (WriteFileShared), anything else is copied.
+func (h *writebackHandle) buffer(off int64, data []byte, shared bool) {
 	pc := h.fs.pc
 	df := pc.dirty[h.path]
 	if df == nil {
 		df = &dirtyFile{born: h.fs.now()}
 		pc.dirty[h.path] = df
 	}
-	df.flush = func(o int64, bufs [][]byte, cb func(int, abi.Errno)) {
-		h.inner.Pwritev(o, bufs, cb)
+	df.dst = h.inner
+	var delta int64
+	if shared && df.insertOwned(off, data[:len(data):len(data)], 0, nil) {
+		delta = int64(len(data))
+	} else {
+		delta = df.insert(off, data)
 	}
-	delta := df.insert(off, data)
 	df.bytes += delta
 	pc.dirtyBytes.Add(delta)
 	df.mtime = h.fs.now()
@@ -557,9 +580,7 @@ func (h *writebackHandle) PwriteSlots(off int64, refs []SlotRef) (int, bool) {
 		df = &dirtyFile{born: h.fs.now()}
 		pc.dirty[h.path] = df
 	}
-	df.flush = func(o int64, bufs [][]byte, cb func(int, abi.Errno)) {
-		h.inner.Pwritev(o, bufs, cb)
-	}
+	df.dst = h.inner
 	arena := pc.pool.arena
 	total := 0
 	var delta int64
@@ -607,7 +628,19 @@ func (h *writebackHandle) Pwrite(off int64, data []byte, cb func(int, abi.Errno)
 		})
 		return
 	}
-	h.buffer(off, data)
+	h.buffer(off, data, false)
+	cb(len(data), abi.OK)
+}
+
+// PwriteShared implements sharedWriter: a buffered handle keeps data by
+// reference as a shared dirty extent; a stale or write-through handle
+// copies, exactly like Pwrite.
+func (h *writebackHandle) PwriteShared(off int64, data []byte, cb func(int, abi.Errno)) {
+	if off < 0 || !h.buffered() {
+		h.Pwrite(off, data, cb)
+		return
+	}
+	h.buffer(off, data, true)
 	cb(len(data), abi.OK)
 }
 
@@ -628,7 +661,7 @@ func (h *writebackHandle) Pwritev(off int64, bufs [][]byte, cb func(int, abi.Err
 	}
 	total := 0
 	for _, b := range bufs {
-		h.buffer(off+int64(total), b)
+		h.buffer(off+int64(total), b, false)
 		total += len(b)
 	}
 	cb(total, abi.OK)

@@ -15,6 +15,7 @@ package posix
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/abi"
 )
@@ -173,9 +174,41 @@ func ProgramNames() []string {
 // real artifact so worker script-eval cost is modelled faithfully.
 // ---------------------------------------------------------------------------
 
-// Executable renders executable-file bytes for a program under a given
-// runtime, padded to size bytes (the modelled compiled-JS size).
+// Executable returns the executable-file bytes for a program under a
+// given runtime, padded to size bytes (the modelled compiled-JS size).
+//
+// The bytes are built once per host process and the same slice is
+// returned to every caller, so staging an image into many instances
+// shares one copy of each artifact (the file system stores it by
+// reference, cloning on the first in-place write). Callers must never
+// modify the returned slice. The cache holds one artifact per
+// (program, runtime, size) key callers request, so it is bounded by the
+// keys they use: the installers ask for registered programs at their
+// runtime's artifact size.
 func Executable(progName, runtime string, size int) []byte {
+	key := artifactKey{progName, runtime, size}
+	artifacts.Lock()
+	defer artifacts.Unlock()
+	b, ok := artifacts.m[key]
+	if !ok {
+		b = buildExecutable(progName, runtime, size)
+		artifacts.m[key] = b
+	}
+	return b
+}
+
+type artifactKey struct {
+	prog, runtime string
+	size          int
+}
+
+// artifacts memoises Executable; fleet workers stage concurrently.
+var artifacts = struct {
+	sync.Mutex
+	m map[artifactKey][]byte
+}{m: map[artifactKey][]byte{}}
+
+func buildExecutable(progName, runtime string, size int) []byte {
 	hdr := fmt.Sprintf("//# browsix-executable v1\n//# program=%s\n//# runtime=%s\n", progName, runtime)
 	if size < len(hdr) {
 		size = len(hdr)

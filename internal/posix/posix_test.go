@@ -1,10 +1,14 @@
 package posix
 
 import (
-	"repro/internal/abi"
+	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/abi"
 )
 
 func TestExecutableFormatRoundTrip(t *testing.T) {
@@ -190,5 +194,42 @@ func TestCopyFd(t *testing.T) {
 	n, err := CopyFd(m, 1, 0)
 	if err != abi.OK || n != 9 || string(m.wrote) != "streaming" {
 		t.Fatalf("CopyFd: n=%d wrote=%q err=%v", n, m.wrote, err)
+	}
+}
+
+// TestLineReaderAllocsLinear: splitting 1 MiB of short lines must
+// allocate in proportion to the input — the lines themselves and the
+// chunk buffer — not a scan of the whole buffer per line.
+func TestLineReaderAllocsLinear(t *testing.T) {
+	var in []byte
+	for i := 0; len(in) < 1<<20; i++ {
+		in = fmt.Appendf(in, "line %06d\n", i)
+	}
+	m := &fakeProc{reads: [][]byte{in}}
+	lr := NewLineReader(m, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	lines := 0
+	for {
+		line, ok, err := lr.ReadLine()
+		if err != abi.OK {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		if len(line) != len("line 000000") || line[:5] != "line " {
+			t.Fatalf("line %d = %q", lines, line)
+		}
+		lines++
+	}
+	runtime.ReadMemStats(&after)
+	if want := bytes.Count(in, []byte{'\n'}); lines != want {
+		t.Fatalf("read %d lines, want %d", lines, want)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d bytes allocated reading %d bytes (%d lines)", got, len(in), lines)
+	if got >= 4*uint64(len(in)) {
+		t.Fatalf("ReadLine allocated %d bytes for %d bytes of input (%d lines), want < 4x", got, len(in), lines)
 	}
 }

@@ -1,6 +1,7 @@
 package posix
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
@@ -196,7 +197,7 @@ func NewLineReader(p Proc, fd int) *LineReader { return &LineReader{p: p, fd: fd
 // EOF (after the final, possibly unterminated, line has been returned).
 func (lr *LineReader) ReadLine() (string, bool, abi.Errno) {
 	for {
-		if i := strings.IndexByte(string(lr.buf), '\n'); i >= 0 {
+		if i := bytes.IndexByte(lr.buf, '\n'); i >= 0 {
 			line := string(lr.buf[:i])
 			lr.buf = lr.buf[i+1:]
 			return line, true, abi.OK

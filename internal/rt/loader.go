@@ -30,7 +30,8 @@ func Loader(sys *browser.System) core.Loader {
 }
 
 // InstallExecutable stages a program's executable into a filesystem image
-// map (path -> bytes) with a modelled artifact size for its runtime.
+// map (path -> bytes) with a modelled artifact size for its runtime. The
+// bytes are posix.Executable's shared artifact: never modify them.
 func InstallExecutable(image map[string][]byte, path, progName string, kind Kind) {
 	image[path] = posix.Executable(progName, string(kind), ArtifactSize(kind))
 }

@@ -7,6 +7,7 @@ import (
 
 	browsix "repro"
 	"repro/internal/abi"
+	"repro/internal/posix"
 )
 
 // Differential proof for the checkpoint/fork subsystem: snapshots change
@@ -154,6 +155,39 @@ func TestForkSpawnRatioGuard(t *testing.T) {
 			cold, forked, float64(cold)/float64(forked))
 	}
 	t.Logf("spawn-to-exit: cold %dns, forked %dns (%.1fx)", cold, forked, float64(cold)/float64(forked))
+}
+
+// TestSpawnRevokesExecutableBlobs: each spawn hands its executable to a
+// blob: URL and the kernel revokes it as soon as the worker is built
+// from it, so after 50 spawns on one instance the blob store holds no
+// executable — only the clone-boot stubs, which stay cached.
+func TestSpawnRevokesExecutableBlobs(t *testing.T) {
+	in := browsix.Boot(browsix.Config{EnableSnapshots: true})
+	browsix.InstallBase(in)
+	const spawns = 50
+	for i := 0; i < spawns; i++ {
+		if r := runCmd(t, in, "/usr/bin/echo hi"); r.Code != 0 || string(r.Stdout) != "hi\n" {
+			t.Fatalf("spawn %d: code %d stdout %q", i, r.Code, r.Stdout)
+		}
+	}
+	if in.Kernel.CloneBoots.Load() == 0 {
+		t.Fatal("no clone boots: the stub URL path did not run")
+	}
+	// Blob URLs are numbered from 1, one per CreateObjectURL.
+	stubs := 0
+	for i := 1; i <= 4*spawns; i++ {
+		b, ok := in.Browser.BlobData(fmt.Sprintf("blob:browsix/%d", i))
+		if !ok {
+			continue
+		}
+		if prog, _, exe := posix.ParseExecutable(b); exe {
+			t.Fatalf("blob %d still holds the %s executable", i, prog)
+		}
+		stubs++
+	}
+	if stubs == 0 {
+		t.Fatal("clone-boot stub URL was revoked")
+	}
 }
 
 // stageWasmFleet stages the base image with sync-runtime coreutils
