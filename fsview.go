@@ -187,8 +187,8 @@ func (v *FSView) ReadFile(name string) ([]byte, error) {
 	if rerr != abi.OK {
 		return nil, pathErr("readfile", name, rerr)
 	}
-	// The VFS may hand out page-cache-backed bytes; the io/fs contract
-	// is that the caller owns the result.
+	// The VFS hands out a read-only view (memfs shares the file's own
+	// bytes); the io/fs contract is that the caller owns the result.
 	return append([]byte(nil), data...), nil
 }
 

@@ -324,19 +324,40 @@ func (s *System) FutexWait(c *Context, sab *SAB, off int, expected uint32, timeo
 	if timeout >= 0 {
 		s.Sim.WakeCtx(g, c.Now()+timeout, WaitTimedOut)
 	}
+	// Leave the wait list however the wait ends: a timeout, or Terminate
+	// killing the coroutine while it is parked (Park unwinds it).
+	defer s.futexUnwait(key, g)
 	v := s.Sim.BlockCur()
-	// Remove ourselves from the wait list if still present (timeout path).
-	ws := s.futexes[key]
-	for i, w := range ws {
-		if w.g == g {
-			s.futexes[key] = append(ws[:i:i], ws[i+1:]...)
-			break
-		}
-	}
 	if r, ok := v.(WaitResult); ok {
 		return r
 	}
 	return WaitOK
+}
+
+// futexUnwait removes g from key's wait list if it is still there (a
+// notify already took it off otherwise).
+func (s *System) futexUnwait(key futexKey, g *sched.G) {
+	ws := s.futexes[key]
+	for i, w := range ws {
+		if w.g == g {
+			copy(ws[i:], ws[i+1:])
+			ws[len(ws)-1] = nil
+			s.setFutexWaiters(key, ws[:len(ws)-1])
+			return
+		}
+	}
+}
+
+// setFutexWaiters stores key's wait list, deleting the key once it is
+// empty: an empty reslice keeps its array alive, and a waiter left in it
+// would pin its worker's context and everything reachable from it (for
+// a sync process, the kernel task and its heap).
+func (s *System) setFutexWaiters(key futexKey, ws []*futexWaiter) {
+	if len(ws) == 0 {
+		delete(s.futexes, key)
+		return
+	}
+	s.futexes[key] = ws
 }
 
 // FutexNotify implements Atomics.notify(sab, off, count), waking up to
@@ -349,10 +370,11 @@ func (s *System) FutexNotify(sab *SAB, off int, count int) int {
 	n := 0
 	for len(ws) > 0 && (count < 0 || n < count) {
 		w := ws[0]
+		ws[0] = nil
 		ws = ws[1:]
 		s.Sim.WakeCtx(w.g, s.Sim.Now()+s.Profile.FutexWake, WaitOK)
 		n++
 	}
-	s.futexes[key] = ws
+	s.setFutexWaiters(key, ws)
 	return n
 }

@@ -1,6 +1,7 @@
 package browser
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sched"
@@ -195,6 +196,53 @@ func TestFutexWaitTimeout(t *testing.T) {
 	}
 	if end-start < 1_000_000 {
 		t.Fatalf("timed out after %dns, want >= 1ms", end-start)
+	}
+}
+
+// TestFutexTableEmptiesAfterWaits: however a wait ends — notified,
+// timed out, or its worker terminated while parked — and when a notify
+// finds no waiter, the futex table ends up empty. A key left behind
+// keeps its last waiter's worker context (and everything it references)
+// alive for the life of the System.
+func TestFutexTableEmptiesAfterWaits(t *testing.T) {
+	s := newSys()
+	sab := NewSAB(16)
+	url := s.CreateObjectURL([]byte("w"))
+	var results []WaitResult
+	var parked *Worker
+	s.Sim.Post(s.Main.Sched(), 0, func() {
+		for i := 0; i < 2; i++ {
+			s.NewWorker(s.Main, url, func(w *Worker) {
+				g := s.Sim.NewG(w.Ctx.Sched(), "prog", func(any) {
+					results = append(results, s.FutexWait(w.Ctx, sab, 0, 0, -1))
+					results = append(results, s.FutexWait(w.Ctx, sab, 4, 0, 1_000_000))
+				})
+				s.Sim.ResumeG(g, nil)
+			})
+		}
+		parked = s.NewWorker(s.Main, url, func(w *Worker) {
+			g := s.Sim.NewG(w.Ctx.Sched(), "prog", func(any) {
+				results = append(results, s.FutexWait(w.Ctx, sab, 8, 0, -1))
+			})
+			s.Sim.ResumeG(g, nil)
+		})
+	})
+	// Wake the two waiters on offset 0 one at a time, notify an offset
+	// nobody waits on, and terminate the worker parked on offset 8.
+	s.Sim.Post(s.Main.Sched(), 10_000_000, func() { s.FutexNotify(sab, 0, 1) })
+	s.Sim.Post(s.Main.Sched(), 20_000_000, func() { s.FutexNotify(sab, 0, 1) })
+	s.Sim.Post(s.Main.Sched(), 30_000_000, func() {
+		if n := s.FutexNotify(sab, 12, -1); n != 0 {
+			t.Errorf("notify on an idle cell woke %d", n)
+		}
+		parked.Terminate()
+	})
+	s.Sim.Run()
+	if want := []WaitResult{WaitOK, WaitTimedOut, WaitOK, WaitTimedOut}; !slices.Equal(results, want) {
+		t.Fatalf("results %v, want %v", results, want)
+	}
+	if len(s.futexes) != 0 {
+		t.Fatalf("futex table holds %d keys after every wait ended", len(s.futexes))
 	}
 }
 

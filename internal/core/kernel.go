@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -316,8 +317,9 @@ func (k *Kernel) Spawn(parent *Task, spec SpawnSpec, cb func(int, abi.Errno)) {
 		// expensive artifact was already parsed once, and the restored
 		// image replaces re-running it. An executable's URL is revoked
 		// as soon as the worker is built from it; only the stubs stay
-		// cached. script is this spawn's private ReadFile result, so
-		// the blob takes it without a copy.
+		// cached. script is ReadFile's read-only view of the staged
+		// file (copy-on-write in memfs, so a later write to the file
+		// cannot change it), and the blob takes it without a copy.
 		var url string
 		if img != nil {
 			url = k.stubURL(path)
@@ -390,7 +392,7 @@ func (k *Kernel) resolveExecutable(path string, argv []string, cwd string, depth
 			return
 		}
 		if len(script) > 2 && script[0] == '#' && script[1] == '!' {
-			nl := strings.IndexByte(string(script), '\n')
+			nl := bytes.IndexByte(script, '\n')
 			if nl < 0 {
 				nl = len(script)
 			}

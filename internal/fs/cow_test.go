@@ -159,13 +159,16 @@ func TestSharedDirtyExtentMerges(t *testing.T) {
 		copy(want[tc.off:], "MERGE")
 		checkSourceIntact(t, src, pristine)
 		closeH(t, h)
+		// Checked before reading back: ReadFile's view marks the node
+		// shared on purpose.
+		mustFlushDirty(t, f)
+		if memNodeAt(t, mem, "/exe").shared {
+			t.Errorf("%s: merged extent flushed as shared", tc.name)
+		}
 		if got := mustRead(t, f, "/exe"); got != string(want) {
 			t.Errorf("%s: flushed contents differ from the merged writes", tc.name)
 		}
 		checkSourceIntact(t, src, pristine)
-		if memNodeAt(t, mem, "/exe").shared {
-			t.Errorf("%s: merged extent flushed as shared", tc.name)
-		}
 	}
 }
 
@@ -184,13 +187,25 @@ func TestSharedExtentBesideDirtyBytes(t *testing.T) {
 		t.Fatalf("PwriteShared: %v", got)
 	}
 	closeH(t, h)
-	if got := mustRead(t, f, "/exe"); got != "HEAD"+string(src) {
-		t.Errorf("flushed contents differ from the two writes")
-	}
+	// Checked before reading back: ReadFile's view marks the node shared
+	// on purpose.
+	mustFlushDirty(t, f)
 	if n := memNodeAt(t, mem, "/exe"); n.shared || &n.data[4] == &src[0] {
 		t.Errorf("coalesced run landed by reference")
 	}
+	if got := mustRead(t, f, "/exe"); got != "HEAD"+string(src) {
+		t.Errorf("flushed contents differ from the two writes")
+	}
 	checkSourceIntact(t, src, pristine)
+}
+
+func mustFlushDirty(t *testing.T, f *FileSystem) {
+	t.Helper()
+	var got abi.Errno = -1
+	f.FlushDirty(func(err abi.Errno) { got = err })
+	if got != abi.OK {
+		t.Fatalf("FlushDirty: %v", got)
+	}
 }
 
 // TestWriteFileSharedCopiesOnWriteThrough: where no layer can keep the

@@ -958,6 +958,12 @@ func (f *FileSystem) Access(p string, amode int, cb func(abi.Errno)) {
 }
 
 // ReadFile slurps a whole file (convenience for the kernel and web app).
+// The result is a read-only view of the file, not a private copy: a
+// backend that can share its bytes (memfs) returns them by reference and
+// turns the file copy-on-write, so later writes to the file never show
+// through the view; every other backend returns a copy. Callers must
+// never modify the result, and must copy it before handing it to code
+// that might.
 func (f *FileSystem) ReadFile(p string, cb func([]byte, abi.Errno)) {
 	f.Open(p, abi.O_RDONLY, 0, func(h FileHandle, err abi.Errno) {
 		if err != abi.OK {
@@ -970,7 +976,7 @@ func (f *FileSystem) ReadFile(p string, cb func([]byte, abi.Errno)) {
 				cb(nil, err)
 				return
 			}
-			h.Pread(0, int(st.Size), func(data []byte, err abi.Errno) {
+			sharedRead(h)(0, int(st.Size), func(data []byte, err abi.Errno) {
 				h.Close(func(abi.Errno) {})
 				cb(data, err)
 			})
@@ -1015,6 +1021,22 @@ type sharedWriter interface {
 	PwriteShared(off int64, data []byte, cb func(int, abi.Errno))
 }
 
+// sharedReader is the optional FileHandle extension behind ReadFile: the
+// handle may answer with a read-only view of its bytes instead of a
+// copy, provided later writes to the file cannot show through it.
+type sharedReader interface {
+	PreadShared(off int64, n int, cb func([]byte, abi.Errno))
+}
+
+// sharedRead returns h's PreadShared if it has one, else its copying
+// Pread.
+func sharedRead(h FileHandle) func(off int64, n int, cb func([]byte, abi.Errno)) {
+	if sr, ok := h.(sharedReader); ok {
+		return sr.PreadShared
+	}
+	return h.Pread
+}
+
 // ---------------------------------------------------------------------------
 // invalHandle: a write-capable handle that keeps the caches honest.
 // ---------------------------------------------------------------------------
@@ -1040,6 +1062,20 @@ func (h *invalHandle) Pread(off int64, n int, cb func([]byte, abi.Errno)) {
 		return
 	}
 	h.FileHandle.Pread(off, n, cb)
+}
+
+// PreadShared implements sharedReader behind the same write-back barrier
+// as Pread; a backend handle without shared views copies.
+func (h *invalHandle) PreadShared(off int64, n int, cb func([]byte, abi.Errno)) {
+	read := sharedRead(h.FileHandle)
+	if h.fs.pc.dirty[h.path] != nil {
+		h.fs.flushPath(h.path, func(err abi.Errno) {
+			h.fs.recordFlushErr(h.path, err)
+			read(off, n, cb)
+		})
+		return
+	}
+	read(off, n, cb)
 }
 
 func (h *invalHandle) Preadv(off int64, lens []int, cb func([][]byte, abi.Errno)) {

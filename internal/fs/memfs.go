@@ -29,9 +29,9 @@ type MemFS struct {
 type memNode struct {
 	mode uint32
 	data []byte
-	// shared marks data as adopted by reference (PwriteShared): other
-	// owners may hold the same bytes, so it is cloned before any
-	// in-place write.
+	// shared marks data as held by reference elsewhere — adopted from
+	// a staged artifact (PwriteShared) or handed out as a read-only
+	// view (PreadShared) — so it is cloned before any in-place write.
 	shared   bool
 	target   string // symlink target
 	children map[string]*memNode
@@ -344,22 +344,40 @@ type memHandle struct {
 
 // Pread implements FileHandle.
 func (h *memHandle) Pread(off int64, n int, cb func([]byte, abi.Errno)) {
-	if h.n.isDir() {
-		cb(nil, abi.EISDIR)
+	v, err := h.span(off, n)
+	if v == nil {
+		cb(nil, err)
 		return
+	}
+	out := make([]byte, len(v))
+	copy(out, v)
+	cb(out, abi.OK)
+}
+
+// PreadShared implements sharedReader: the node's bytes themselves. The
+// node turns copy-on-write, so a later Pwrite, Pwritev or growing
+// Truncate clones first and O_TRUNC starts a fresh buffer: the view
+// never changes.
+func (h *memHandle) PreadShared(off int64, n int, cb func([]byte, abi.Errno)) {
+	v, err := h.span(off, n)
+	if v != nil {
+		h.n.shared = true
+	}
+	cb(v, err)
+}
+
+// span returns the node's bytes in [off, off+n), clamped to EOF and
+// capped so an append cannot reach past them; nil at EOF.
+func (h *memHandle) span(off int64, n int) ([]byte, abi.Errno) {
+	if h.n.isDir() {
+		return nil, abi.EISDIR
 	}
 	data := h.n.data
 	if off >= int64(len(data)) {
-		cb(nil, abi.OK) // EOF
-		return
+		return nil, abi.OK
 	}
-	end := off + int64(n)
-	if end > int64(len(data)) {
-		end = int64(len(data))
-	}
-	out := make([]byte, end-off)
-	copy(out, data[off:end])
-	cb(out, abi.OK)
+	end := min(off+int64(n), int64(len(data)))
+	return data[off:end:end], abi.OK
 }
 
 // Pwrite implements FileHandle.

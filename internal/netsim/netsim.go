@@ -127,7 +127,9 @@ func FileHost(name string, rtt int64, nsPerByte float64, files map[string][]byte
 				if !ok {
 					return Response{Status: 416}
 				}
-				part := body[lo : hi+1]
+				// Capped: the file bytes may be shared (tex.BuildTree's
+				// tree is one map per config for the whole process).
+				part := body[lo : hi+1 : hi+1]
 				h.Charge(50_000 + int64(len(part))/16)
 				return Response{Status: 206, Body: part}
 			}

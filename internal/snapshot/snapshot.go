@@ -49,7 +49,9 @@ type Image struct {
 	Path string
 	// Script is the executable's bytes: each kernel re-derives the
 	// runtime program and kind through its own loader, so an image
-	// captured by one fleet instance boots clones in every other.
+	// captured by one fleet instance boots clones in every other. It is
+	// the spawn's read-only view of the staged file (fs.ReadFile), kept
+	// by reference: never modify it.
 	Script []byte
 	// Env, Cwd, Fds are the captured process template (diagnostics and
 	// the dump path; clones take their spawn-time values as usual).
@@ -72,11 +74,10 @@ type Image struct {
 	priv  [][]byte // private page copies (store == nil fallback)
 }
 
-// NewImage starts an image for the executable at path.
+// NewImage starts an image for the executable at path. script is kept
+// by reference (see Image.Script).
 func NewImage(path string, script []byte) *Image {
-	sc := make([]byte, len(script))
-	copy(sc, script)
-	return &Image{Path: path, Script: sc}
+	return &Image{Path: path, Script: script}
 }
 
 // SetHeap captures heap into image pages. With a non-nil store the pages

@@ -3,6 +3,7 @@ package tex
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // TreeConfig scales the synthetic TeX Live distribution. The real thing
@@ -42,7 +43,30 @@ func SmallTree() TreeConfig {
 // the tree root, starting with "/"). Package i requires package i+1 for
 // the first few, giving documents a dependency cone; article.cls loads
 // three fonts via \LoadFont.
+//
+// The tree is built once per host process and config, and the same map
+// is returned to every caller (a fleet's tenants share one distribution,
+// as they share one TeX Live mirror). Callers must never modify the map
+// or the bytes it holds.
 func BuildTree(cfg TreeConfig) map[string][]byte {
+	trees.Lock()
+	defer trees.Unlock()
+	files, ok := trees.m[cfg]
+	if !ok {
+		files = buildTree(cfg)
+		trees.m[cfg] = files
+	}
+	return files
+}
+
+// trees memoises BuildTree; fleet workers install TeX projects
+// concurrently.
+var trees = struct {
+	sync.Mutex
+	m map[TreeConfig]map[string][]byte
+}{m: map[TreeConfig]map[string][]byte{}}
+
+func buildTree(cfg TreeConfig) map[string][]byte {
 	files := map[string][]byte{}
 	pad := func(n int) string {
 		if n <= 0 {
