@@ -85,18 +85,46 @@ func (r Ring) tail() int     { return int(r.le().Uint32(r.B[4:])) }
 func (r Ring) setHead(v int) { r.le().PutUint32(r.B[0:], uint32(v)) }
 func (r Ring) setTail(v int) { r.le().PutUint32(r.B[4:], uint32(v)) }
 
-// Reset zeroes the cursors (producer-side initialization).
-func (r Ring) Reset() { r.setHead(0); r.setTail(0) }
+// Reset zeroes the cursors (producer-side initialization). A region too
+// small to hold them has nothing to reset.
+func (r Ring) Reset() {
+	if len(r.B) >= RingHdrSize {
+		r.setHead(0)
+		r.setTail(0)
+	}
+}
 
 func (r Ring) dataLen() int { return len(r.B) - RingHdrSize }
 
-// Used returns the number of buffered bytes.
-func (r Ring) Used() int {
-	d := r.tail() - r.head()
+// cursors returns head and tail, ok only when both index the data area.
+// Both live in guest-writable shared memory, so every consumer of them
+// checks: a cursor at or past the data length is a corrupt ring.
+func (r Ring) cursors() (head, tail int, ok bool) {
+	if len(r.B) < RingHdrSize {
+		return 0, 0, false
+	}
+	head, tail = r.head(), r.tail()
+	n := r.dataLen()
+	return head, tail, head < n && tail < n
+}
+
+// used is the buffered byte count between valid cursors.
+func (r Ring) used(head, tail int) int {
+	d := tail - head
 	if d < 0 {
 		d += r.dataLen()
 	}
 	return d
+}
+
+// Used returns the number of buffered bytes (0 for a corrupt ring: it
+// holds nothing decodable, and the next push or pop resets it).
+func (r Ring) Used() int {
+	head, tail, ok := r.cursors()
+	if !ok {
+		return 0
+	}
+	return r.used(head, tail)
 }
 
 // Free returns the bytes that may be pushed without overwriting (one byte
@@ -112,15 +140,14 @@ func (r Ring) copyIn(pos int, b []byte) {
 	}
 }
 
-// copyOut reads n bytes at cursor position pos.
-func (r Ring) copyOut(pos, n int) []byte {
+// copyOut fills out with the bytes at cursor position pos (mod data
+// size).
+func (r Ring) copyOut(pos int, out []byte) {
 	data := r.B[RingHdrSize:]
-	out := make([]byte, n)
 	m := copy(out, data[pos:])
-	if m < n {
+	if m < len(out) {
 		copy(out[m:], data)
 	}
-	return out
 }
 
 func (r Ring) advance(pos, n int) int { return (pos + n) % r.dataLen() }
@@ -128,6 +155,13 @@ func (r Ring) advance(pos, n int) int { return (pos + n) % r.dataLen() }
 // Call-frame layout: size u32 (bytes after this field), seq u32, trap u32,
 // nargs u32, then nargs little-endian u64 arguments.
 const callFrameHdr = 16
+
+// maxFrameArgs bounds a call frame's arguments; maxCallFrame is the
+// largest call frame, which the decoder copies into a stack array.
+const (
+	maxFrameArgs = 16
+	maxCallFrame = callFrameHdr + 8*maxFrameArgs
+)
 
 // ReplyFrameSize is the reply-frame layout size: size u32, seq u32,
 // ret u64, errno u32. Exported so the producer can bound a batch by the
@@ -138,10 +172,15 @@ const ReplyFrameSize = 20
 // (the producer should fall back to the scalar transport).
 func (r Ring) PushCall(seq uint32, trap int, args []int64) bool {
 	need := callFrameHdr + 8*len(args)
-	if len(args) > 16 || need > r.Free() {
+	_, tail, ok := r.cursors()
+	if !ok {
+		r.Reset()
 		return false
 	}
-	var buf [callFrameHdr + 8*16]byte
+	if len(args) > maxFrameArgs || need > r.Free() {
+		return false
+	}
+	var buf [maxCallFrame]byte
 	le := r.le()
 	le.PutUint32(buf[0:], uint32(need-4))
 	le.PutUint32(buf[4:], seq)
@@ -150,45 +189,63 @@ func (r Ring) PushCall(seq uint32, trap int, args []int64) bool {
 	for i, a := range args {
 		le.PutUint64(buf[callFrameHdr+8*i:], uint64(a))
 	}
-	r.copyIn(r.tail(), buf[:need])
-	r.setTail(r.advance(r.tail(), need))
+	r.copyIn(tail, buf[:need])
+	r.setTail(r.advance(tail, need))
 	return true
 }
 
-// PopCall removes and decodes the next call frame.
+// PopCall removes and decodes the next call frame. The frame lives in
+// guest-writable shared memory, so a corrupt cursor, size or nargs must
+// not drive an allocation or an out-of-range read: the ring is reset
+// (producer and consumer can no longer agree on framing) and the pop
+// fails.
 func (r Ring) PopCall() (seq uint32, trap int, args []int64, ok bool) {
-	if r.Used() < callFrameHdr {
-		return 0, 0, nil, false
-	}
-	le := r.le()
-	hdr := r.copyOut(r.head(), callFrameHdr)
-	size := int(le.Uint32(hdr[0:])) + 4
-	if size < callFrameHdr || r.Used() < size {
-		return 0, 0, nil, false
-	}
-	frame := r.copyOut(r.head(), size)
-	seq = le.Uint32(frame[4:])
-	trap = int(le.Uint32(frame[8:]))
-	nargs := int(le.Uint32(frame[12:]))
-	// The frame lives in guest-writable shared memory: a corrupt nargs
-	// must not drive an allocation or an out-of-frame read. Drop the
-	// malformed frame by resetting the ring (producer and consumer can
-	// no longer agree on framing).
-	if nargs < 0 || nargs > 16 || callFrameHdr+8*nargs != size {
+	head, tail, ok := r.cursors()
+	if !ok {
 		r.Reset()
 		return 0, 0, nil, false
 	}
-	args = make([]int64, nargs)
-	for i := 0; i < nargs; i++ {
-		args[i] = int64(le.Uint64(frame[callFrameHdr+8*i:]))
+	used := r.used(head, tail)
+	if used < callFrameHdr {
+		return 0, 0, nil, false
 	}
-	r.setHead(r.advance(r.head(), size))
+	le := r.le()
+	var frame [maxCallFrame]byte
+	r.copyOut(head, frame[:callFrameHdr])
+	size := int(le.Uint32(frame[0:])) + 4
+	if size < callFrameHdr || size > maxCallFrame {
+		r.Reset()
+		return 0, 0, nil, false
+	}
+	if used < size {
+		return 0, 0, nil, false
+	}
+	r.copyOut(head, frame[:size])
+	seq = le.Uint32(frame[4:])
+	trap = int(le.Uint32(frame[8:]))
+	nargs := int(le.Uint32(frame[12:]))
+	if nargs < 0 || nargs > maxFrameArgs || callFrameHdr+8*nargs != size {
+		r.Reset()
+		return 0, 0, nil, false
+	}
+	if nargs > 0 {
+		args = make([]int64, nargs)
+		for i := range args {
+			args[i] = int64(le.Uint64(frame[callFrameHdr+8*i:]))
+		}
+	}
+	r.setHead(r.advance(head, size))
 	return seq, trap, args, true
 }
 
 // PushReply appends a reply frame; false when full (the producer must
 // retry after the consumer drains — the kernel defers in that case).
 func (r Ring) PushReply(seq uint32, ret int64, errno Errno) bool {
+	_, tail, ok := r.cursors()
+	if !ok {
+		r.Reset()
+		return false
+	}
 	if ReplyFrameSize > r.Free() {
 		return false
 	}
@@ -198,8 +255,8 @@ func (r Ring) PushReply(seq uint32, ret int64, errno Errno) bool {
 	le.PutUint32(buf[4:], seq)
 	le.PutUint64(buf[8:], uint64(ret))
 	le.PutUint32(buf[16:], uint32(int32(errno)))
-	r.copyIn(r.tail(), buf[:])
-	r.setTail(r.advance(r.tail(), ReplyFrameSize))
+	r.copyIn(tail, buf[:])
+	r.setTail(r.advance(tail, ReplyFrameSize))
 	return true
 }
 
@@ -228,16 +285,23 @@ func (r Ring) PushReplies(reps []Reply) int {
 	return n
 }
 
-// PopReply removes and decodes the next reply frame.
+// PopReply removes and decodes the next reply frame; a corrupt cursor
+// resets the ring and fails the pop, like PopCall.
 func (r Ring) PopReply() (seq uint32, ret int64, errno Errno, ok bool) {
-	if r.Used() < ReplyFrameSize {
+	head, tail, ok := r.cursors()
+	if !ok {
+		r.Reset()
 		return 0, 0, OK, false
 	}
-	frame := r.copyOut(r.head(), ReplyFrameSize)
+	if r.used(head, tail) < ReplyFrameSize {
+		return 0, 0, OK, false
+	}
+	var frame [ReplyFrameSize]byte
+	r.copyOut(head, frame[:])
 	le := r.le()
 	seq = le.Uint32(frame[4:])
 	ret = int64(le.Uint64(frame[8:]))
 	errno = Errno(int32(le.Uint32(frame[16:])))
-	r.setHead(r.advance(r.head(), ReplyFrameSize))
+	r.setHead(r.advance(head, ReplyFrameSize))
 	return seq, ret, errno, true
 }

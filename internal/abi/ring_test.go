@@ -124,3 +124,85 @@ func TestRingReplyRoundTripAndFull(t *testing.T) {
 		t.Fatalf("ret=%d errno=%v", ret, errno)
 	}
 }
+
+func TestRingRejectsCorruptCursors(t *testing.T) {
+	// head and tail live in guest memory: a cursor at or past the data
+	// area must reset the ring and fail the pop, not index past it.
+	for _, c := range []struct{ head, tail uint32 }{
+		{0x30303030, 0x30303030}, {0, 128}, {128, 0}, {5, 1 << 31},
+	} {
+		r := NewRing(make([]byte, RingHdrSize+128))
+		binary.LittleEndian.PutUint32(r.B[0:], c.head)
+		binary.LittleEndian.PutUint32(r.B[4:], c.tail)
+		if u := r.Used(); u != 0 {
+			t.Fatalf("cursors %+v: Used %d, want 0", c, u)
+		}
+		if _, _, _, ok := r.PopCall(); ok {
+			t.Fatalf("cursors %+v: PopCall succeeded", c)
+		}
+		if r.head() != 0 || r.tail() != 0 {
+			t.Fatalf("cursors %+v: ring not reset", c)
+		}
+		binary.LittleEndian.PutUint32(r.B[4:], c.tail|128)
+		if _, _, _, ok := r.PopReply(); ok {
+			t.Fatalf("cursors %+v: PopReply succeeded", c)
+		}
+		if !r.PushReply(1, 2, OK) || !r.PushCall(3, SYS_getpid, nil) {
+			t.Fatalf("cursors %+v: ring unusable after reset", c)
+		}
+	}
+}
+
+func TestRingPopAllocations(t *testing.T) {
+	r := NewRing(make([]byte, 512))
+	r.Reset()
+	allocs := testing.AllocsPerRun(100, func() {
+		r.PushCall(1, SYS_getpid, nil)
+		r.PopCall()
+		r.PushReply(1, 7, OK)
+		r.PopReply()
+	})
+	if allocs != 0 {
+		t.Fatalf("argument-free call and reply round trip allocated %.0f times, want 0", allocs)
+	}
+}
+
+// FuzzRingPop drains arbitrary ring regions (header and data, both
+// guest-controlled) through PopCall and PopReply: neither may panic, and
+// Used always lies inside the data area.
+func FuzzRingPop(f *testing.F) {
+	r := NewRing(make([]byte, 136))
+	r.Reset()
+	r.PushCall(1, SYS_read, []int64{3, 64, 4096})
+	r.PushCall(2, SYS_getpid, nil)
+	f.Add(append([]byte(nil), r.B...))
+	f.Add(make([]byte, RingHdrSize))
+	f.Fuzz(func(t *testing.T, region []byte) {
+		if len(region) < RingHdrSize || len(region) > 256 {
+			return
+		}
+		check := func(r Ring) {
+			if u, n := r.Used(), r.dataLen(); u < 0 || (n > 0 && u >= n) || (n == 0 && u != 0) {
+				t.Fatalf("Used %d outside [0, %d)", u, n)
+			}
+		}
+		calls := NewRing(append([]byte(nil), region...))
+		for i := 0; i < len(region); i++ {
+			check(calls)
+			if _, _, args, ok := calls.PopCall(); !ok {
+				break
+			} else if len(args) > maxFrameArgs {
+				t.Fatalf("popped %d args", len(args))
+			}
+		}
+		check(calls)
+		replies := NewRing(append([]byte(nil), region...))
+		for i := 0; i < len(region); i++ {
+			check(replies)
+			if _, _, _, ok := replies.PopReply(); !ok {
+				break
+			}
+		}
+		check(replies)
+	})
+}

@@ -3,6 +3,7 @@ package browser
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/sched"
@@ -19,6 +20,9 @@ type System struct {
 	blobs   map[string][]byte
 
 	futexes map[futexKey][]*futexWaiter
+
+	// freeHeaps holds released process heaps awaiting reuse (NewHeap).
+	freeHeaps []*SAB
 }
 
 // Context is a single-threaded JavaScript execution context.
@@ -38,6 +42,7 @@ type Worker struct {
 	Ctx        *Context // the worker's own execution context
 	OnMessage  func(v Value)
 	terminated bool
+	heap       *SAB // the heap handed to this worker (NewHeap); released at Terminate
 }
 
 // NewSystem creates a browser with the given cost profile.
@@ -171,6 +176,11 @@ func (w *Worker) Terminate() {
 	}
 	w.terminated = true
 	w.sys.Sim.KillCtx(w.Ctx.sctx)
+	// The worker's coroutines have unwound: its hold on its heap ends.
+	if w.heap != nil {
+		w.heap.Release()
+		w.heap = nil
+	}
 }
 
 // Terminated reports whether Terminate has been called.
@@ -214,6 +224,21 @@ type SAB struct {
 	b       []byte
 	id      int
 	tracker DirtyTracker
+
+	// Recyclable process heaps (NewHeap) only. written is the reuse
+	// bitmap: one bit per HeapPageSize page, set by every write into the
+	// heap, so a reused heap clears only what its last owner touched.
+	// holds counts the parties still holding it; home is the
+	// System whose free list it returns to.
+	written []uint64
+	holds   int
+	home    *System
+
+	// Chunked views (NewChunkedSAB): size bytes resolved chunk by chunk;
+	// b is nil.
+	size      int
+	chunkSize int
+	chunk     func(i int) []byte
 }
 
 // DirtyTracker observes writes into a SAB at page granularity. The
@@ -228,14 +253,38 @@ type DirtyTracker interface {
 // SetDirtyTracker installs (or clears, with nil) the write observer.
 func (s *SAB) SetDirtyTracker(t DirtyTracker) { s.tracker = t }
 
-// MarkDirty reports a write of n bytes at off to the installed tracker.
-// Callers that write through Bytes() must call it; it is free when no
-// tracker is installed.
+// MarkDirty reports a write of n bytes at off to the installed tracker
+// and the heap's reuse bitmap. Callers that write through Bytes() must
+// call it (or MarkWritten).
 func (s *SAB) MarkDirty(off, n int) {
+	s.MarkWritten(off, n)
 	if s.tracker != nil && n > 0 {
 		s.tracker.MarkDirty(off, n)
 	}
 }
+
+// MarkWritten records a write of n bytes at off in the reuse bitmap only,
+// for writes the tracker treats as private from the start: the reply
+// cells, ring regions and a restored image. It is free on SABs that are
+// not recyclable heaps.
+func (s *SAB) MarkWritten(off, n int) {
+	if s.written == nil || n <= 0 {
+		return
+	}
+	first, last := off/HeapPageSize, (off+n-1)/HeapPageSize
+	if first < 0 {
+		first = 0
+	}
+	if max := len(s.written)*64 - 1; last > max {
+		last = max
+	}
+	for p := first; p <= last; p++ {
+		s.written[p/64] |= 1 << (p % 64)
+	}
+}
+
+// HeapPageSize is the reuse bitmap's granule.
+const HeapPageSize = 4096
 
 // sabSeq is process-wide: SAB ids key futex waits and only need to be
 // unique, and an atomic keeps concurrent Instances race-free.
@@ -246,20 +295,114 @@ func NewSAB(n int) *SAB {
 	return &SAB{b: make([]byte, n), id: int(sabSeq.Add(1))}
 }
 
-// WrapSAB exposes an existing byte region as a SharedArrayBuffer view —
-// how the kernel shares its page-cache arena with worker processes. The
-// region must never be reallocated while views of it are outstanding.
-func WrapSAB(b []byte) *SAB {
-	return &SAB{b: b, id: int(sabSeq.Add(1))}
+// maxFreeHeaps bounds the released heaps a System keeps for reuse.
+const maxFreeHeaps = 8
+
+// NewHeap hands an n-byte process heap to worker w: a released heap of
+// that size when one is free, else a fresh one. A reused heap reads as
+// all zeros like a fresh one — the pages its last owner wrote are
+// cleared — and gets a fresh id, so no futex key of its last owner
+// matches it. The heap starts held by w (released at Terminate); the
+// kernel takes its own hold with Retain when the heap is registered, and
+// the heap returns to the free list once every hold is released.
+func (s *System) NewHeap(w *Worker, n int) *SAB {
+	var h *SAB
+	for i := len(s.freeHeaps) - 1; i >= 0; i-- {
+		if f := s.freeHeaps[i]; len(f.b) == n {
+			h = f
+			s.freeHeaps = append(s.freeHeaps[:i], s.freeHeaps[i+1:]...)
+			h.scrub()
+			h.id = int(sabSeq.Add(1))
+			break
+		}
+	}
+	if h == nil {
+		pages := (n + HeapPageSize - 1) / HeapPageSize
+		h = &SAB{b: make([]byte, n), id: int(sabSeq.Add(1)),
+			written: make([]uint64, (pages+63)/64), home: s}
+	}
+	h.holds = 1
+	w.heap = h
+	return h
+}
+
+// scrub zeroes every page the reuse bitmap records as written and clears
+// the bitmap.
+func (s *SAB) scrub() {
+	for wi, word := range s.written {
+		for word != 0 {
+			p := wi*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			lo := p * HeapPageSize
+			clear(s.b[lo:min(lo+HeapPageSize, len(s.b))])
+		}
+		s.written[wi] = 0
+	}
+}
+
+// Retain takes one more hold on a heap from NewHeap (a no-op on any
+// other SAB).
+func (s *SAB) Retain() {
+	if s.home != nil {
+		s.holds++
+	}
+}
+
+// Release drops one hold; the last one returns the heap to its System's
+// free list, unless the list is full. A released heap's bytes must not be
+// touched again.
+func (s *SAB) Release() {
+	if s.home == nil || s.holds <= 0 {
+		return
+	}
+	s.holds--
+	if s.holds > 0 {
+		return
+	}
+	s.tracker = nil
+	if sys := s.home; len(sys.freeHeaps) < maxFreeHeaps {
+		sys.freeHeaps = append(sys.freeHeaps, s)
+	}
+}
+
+// NewChunkedSAB exposes size bytes stored as chunkSize-byte chunks as one
+// SharedArrayBuffer view — how the kernel shares its page-cache arena,
+// which grows chunk by chunk, with worker processes. chunk(i) returns
+// chunk i (nil while it does not exist). A chunked view has no flat
+// storage: read it with Slice, never Bytes.
+func NewChunkedSAB(size, chunkSize int, chunk func(i int) []byte) *SAB {
+	return &SAB{id: int(sabSeq.Add(1)), size: size, chunkSize: chunkSize, chunk: chunk}
 }
 
 // Len returns the buffer length.
-func (s *SAB) Len() int { return len(s.b) }
+func (s *SAB) Len() int {
+	if s.chunk != nil {
+		return s.size
+	}
+	return len(s.b)
+}
 
 // Bytes exposes the underlying storage. Within the deterministic simulator
 // only one context runs at a time, so direct access is race-free; the cost
-// of bulk copies in/out is charged by callers.
-func (s *SAB) Bytes() []byte { return s.b }
+// of bulk copies in/out is charged by callers. Chunked views have no flat
+// storage and panic.
+func (s *SAB) Bytes() []byte {
+	if s.chunk != nil {
+		panic("browser: Bytes on a chunked SharedArrayBuffer view")
+	}
+	return s.b
+}
+
+// Slice returns the n bytes at off. On a chunked view the range must lie
+// inside one chunk.
+func (s *SAB) Slice(off int64, n int) []byte {
+	if s.chunk == nil {
+		return s.b[off : off+int64(n)]
+	}
+	c := s.chunk(int(off / int64(s.chunkSize)))
+	o := int(off % int64(s.chunkSize))
+	return c[o : o+n]
+}
 
 // Load32 performs Atomics.load on a 32-bit little-endian cell.
 func (s *SAB) Load32(off int) uint32 { return binary.LittleEndian.Uint32(s.b[off:]) }
@@ -267,9 +410,7 @@ func (s *SAB) Load32(off int) uint32 { return binary.LittleEndian.Uint32(s.b[off
 // Store32 performs Atomics.store.
 func (s *SAB) Store32(off int, v uint32) {
 	binary.LittleEndian.PutUint32(s.b[off:], v)
-	if s.tracker != nil {
-		s.tracker.MarkDirty(off, 4)
-	}
+	s.MarkDirty(off, 4)
 }
 
 // Add32 performs Atomics.add, returning the old value.

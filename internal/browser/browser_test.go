@@ -384,3 +384,37 @@ func TestWorkerPriorityDefault(t *testing.T) {
 		t.Fatal("SetPriority not applied")
 	}
 }
+
+// TestHeapReuseIsZeroWithFreshID: a released heap returns to the free
+// list only when its last hold goes, comes back all zeros under a new
+// id (futex keys of its last owner cannot match it), and only for a
+// request of its own size.
+func TestHeapReuseIsZeroWithFreshID(t *testing.T) {
+	sys := NewSystem(sched.New(), Chrome())
+	h := sys.NewHeap(&Worker{}, 64<<10)
+	id := h.id
+	h.Store32(3*HeapPageSize+8, 7)
+	copy(h.Bytes()[10000:], "guest bytes")
+	h.MarkDirty(10000, len("guest bytes"))
+	h.Retain() // the kernel's registration
+	h.Release()
+	if len(sys.freeHeaps) != 0 {
+		t.Fatal("heap freed while the kernel still holds it")
+	}
+	h.Release()
+	if other := sys.NewHeap(&Worker{}, 32<<10); other == h {
+		t.Fatal("a heap was reused for a different size")
+	}
+	again := sys.NewHeap(&Worker{}, 64<<10)
+	if again != h {
+		t.Fatal("the released heap was not reused")
+	}
+	if again.id == id {
+		t.Fatal("a reused heap kept its futex id")
+	}
+	for i, b := range again.Bytes() {
+		if b != 0 {
+			t.Fatalf("reused heap byte %d = %#x", i, b)
+		}
+	}
+}

@@ -176,7 +176,8 @@ func (k *Kernel) Task(pid int) *Task { return k.tasks[pid] }
 // read path.
 func (k *Kernel) pagePoolSAB() *browser.SAB {
 	if k.poolSAB == nil {
-		k.poolSAB = browser.WrapSAB(k.FS.PagePoolBytes())
+		size, chunk := k.FS.PagePoolChunks()
+		k.poolSAB = browser.NewChunkedSAB(size, fs.ChunkBytes, chunk)
 	}
 	return k.poolSAB
 }
@@ -279,7 +280,8 @@ func (k *Kernel) Spawn(parent *Task, spec SpawnSpec, cb func(int, abi.Errno)) {
 			if spec.Env != nil {
 				t.Env = spec.Env
 			}
-			t.heap, t.retOff, t.waitOff, t.ring = nil, 0, 0, nil
+			t.setHeap(nil)
+			t.retOff, t.waitOff, t.ring = 0, 0, nil
 			k.releaseTaskLeases(t)
 			k.releaseTaskSnapshot(t)
 			t.pool = false
@@ -497,7 +499,7 @@ func (k *Kernel) finishTask(t *Task, status int) {
 	for _, c := range t.children {
 		c.ParentPid = 0
 		if c.state == taskZombie {
-			delete(k.tasks, c.Pid)
+			k.reap(c)
 		}
 	}
 	t.children = map[int]*Task{}
@@ -510,7 +512,7 @@ func (k *Kernel) finishTask(t *Task, status int) {
 	parent := k.tasks[t.ParentPid]
 	if parent == nil || parent.state == taskZombie {
 		// Orphan: auto-reap.
-		delete(k.tasks, t.Pid)
+		k.reap(t)
 		return
 	}
 	// Wake a pending wait4 if one matches; otherwise stay a zombie.
@@ -518,13 +520,19 @@ func (k *Kernel) finishTask(t *Task, status int) {
 		if w.pid == -1 || w.pid == t.Pid {
 			parent.waiters = append(parent.waiters[:i:i], parent.waiters[i+1:]...)
 			delete(parent.children, t.Pid)
-			delete(k.tasks, t.Pid)
+			k.reap(t)
 			w.cb(t.Pid, status, abi.OK)
 			k.signalTask(parent, abi.SIGCHLD)
 			return
 		}
 	}
 	k.signalTask(parent, abi.SIGCHLD)
+}
+
+// reap removes a zombie from the task table and drops its heap.
+func (k *Kernel) reap(t *Task) {
+	delete(k.tasks, t.Pid)
+	t.setHeap(nil)
 }
 
 // doExit is the exit system call. Runtimes must call it explicitly: a Web
@@ -545,7 +553,7 @@ func (k *Kernel) doWait4(t *Task, pid int, options int, cb func(pid, status int,
 	for _, c := range t.children {
 		if match(c) && c.state == taskZombie {
 			delete(t.children, c.Pid)
-			delete(k.tasks, c.Pid)
+			k.reap(c)
 			cb(c.Pid, c.status, abi.OK)
 			return
 		}

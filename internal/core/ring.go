@@ -59,6 +59,10 @@ func (k *Kernel) registerRing(t *Task, reqOff, reqLen, repOff, repLen int64) abi
 	if !ok(reqOff, reqLen) || !ok(repOff, repLen) {
 		return abi.EINVAL
 	}
+	// Both sides write the rings through retained views for as long as
+	// they are registered: record their pages as written once, here.
+	t.heap.MarkWritten(int(reqOff), int(reqLen))
+	t.heap.MarkWritten(int(repOff), int(repLen))
 	b := t.heap.Bytes()
 	t.ring = &taskRing{
 		req:    abi.NewRing(b[reqOff : reqOff+reqLen]),

@@ -114,7 +114,8 @@ func (k *Kernel) doRestore(t *Task, c *msgCall) {
 		c.done(-1, abi.EINVAL)
 		return
 	}
-	t.heap, t.retOff, t.waitOff = sab, int(c.num()), int(c.num())
+	t.setHeap(sab)
+	t.retOff, t.waitOff = int(c.num()), int(c.num())
 	wantRing := c.num() != 0
 	reqOff, reqLen, repOff, repLen := c.num(), c.num(), c.num(), c.num()
 	ringAccepted := int64(0)
@@ -160,6 +161,9 @@ func (k *Kernel) CheckpointLive(pid int, cb func(*snapshot.Dump, abi.Errno)) {
 		return
 	}
 	heap := t.heap
+	// The dump reads the heap across events: hold it, so a task that
+	// exits meanwhile cannot have it reused under the dump.
+	heap.Retain()
 	hlen := heap.Len()
 	d.HeapLen = hlen
 	d.Mem = make([]byte, hlen)
@@ -222,6 +226,7 @@ func (k *Kernel) CheckpointLive(pid int, cb func(*snapshot.Dump, abi.Errno)) {
 		sort.Ints(pages)
 		d.FinalPages = len(pages)
 		d.PauseNs = copyPages(pages)
+		heap.Release()
 		cb(d, abi.OK)
 	}
 

@@ -41,10 +41,15 @@ func (t *Task) heapBytes(ptr, n int64) []byte {
 	return out
 }
 
-// heapWrite copies data into the task's heap at ptr.
+// heapWrite copies data into the task's heap at ptr. A call completing
+// after its task exited lands nothing: the heap is no longer the task's
+// to write (once reaped, it may be handed to another process).
 func (t *Task) heapWrite(ptr int64, data []byte) {
 	k := t.k
 	k.Sys.Sim.Charge(int64(float64(len(data)) * k.CPU.SyncByteNs))
+	if t.heap == nil || t.state == taskZombie {
+		return
+	}
 	copy(t.heap.Bytes()[ptr:], data)
 	t.heap.MarkDirty(int(ptr), len(data))
 }
@@ -59,6 +64,7 @@ func (k *Kernel) syncReply(t *Task, ret int64, err abi.Errno) {
 	le := leAt(b, t.retOff)
 	le.putU64(uint64(ret))
 	leAt(b, t.retOff+8).putU32(uint32(int32(err)))
+	t.heap.MarkWritten(t.retOff, 12)
 	t.heap.Store32(t.waitOff, 1)
 	k.Sys.FutexNotify(t.heap, t.waitOff, 1)
 }

@@ -78,7 +78,8 @@ func (k *Kernel) control(t *Task, name string, c *msgCall) bool {
 			c.done(-1, abi.EINVAL)
 			break
 		}
-		t.heap, t.retOff, t.waitOff = sab, int(c.num()), int(c.num())
+		t.setHeap(sab)
+		t.retOff, t.waitOff = int(c.num()), int(c.num())
 		c.done(0, abi.OK)
 	case "ring":
 		// Ring-transport negotiation (after personality): request and

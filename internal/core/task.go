@@ -118,6 +118,20 @@ func (t *Task) Worker() *browser.Worker { return t.worker }
 // its fd/env/cwd template).
 func (t *Task) HasHeap() bool { return t.heap != nil }
 
+// setHeap registers (or, with nil, drops) the task's heap. The kernel
+// holds a registered heap until it drops it — at exec, or when the task
+// is reaped — so the heap goes to another process only after both
+// the kernel and the exited worker let go.
+func (t *Task) setHeap(sab *browser.SAB) {
+	if t.heap != nil {
+		t.heap.Release()
+	}
+	if sab != nil {
+		sab.Retain()
+	}
+	t.heap = sab
+}
+
 // allocFd returns the lowest unused descriptor number, as Unix does.
 func (t *Task) allocFd() int {
 	for fd := 0; ; fd++ {

@@ -186,7 +186,7 @@ func TestDedupSharedSlotFreezesUnderLease(t *testing.T) {
 	if st != allocOK {
 		t.Fatalf("dedupAlloc: %d", st)
 	}
-	copy(pp.arena[slot*PageSize:], "leased")
+	copy(pp.page(slot), "leased")
 	if canon := pp.dedupPublish(slot, h); canon != slot {
 		t.Fatalf("publish: %d", canon)
 	}
@@ -195,7 +195,7 @@ func TestDedupSharedSlotFreezesUnderLease(t *testing.T) {
 	if !pp.isFrozen(slot) {
 		t.Fatal("last deref under lease did not freeze the slot")
 	}
-	if got := string(pp.arena[slot*PageSize : slot*PageSize+6]); got != "leased" {
+	if got := string(pp.page(slot)[:6]); got != "leased" {
 		t.Fatalf("frozen bytes changed: %q", got)
 	}
 	pp.unpin(slot)

@@ -312,7 +312,7 @@ func (c *pageCache) store(p string, pageIdx int64, data []byte, dedup bool) {
 		}
 		slot, st = c.pool.alloc2(c.att)
 	}
-	copy(c.pool.arena[slot*PageSize:], data)
+	copy(c.pool.page(slot), data)
 	c.insertPage(p, pageIdx, poolPage{slot: slot, len: len(data)})
 }
 
@@ -342,7 +342,7 @@ func (c *pageCache) storeDedup(p string, pageIdx int64, data []byte) (done, priv
 		slot, st = c.pool.dedupAlloc(c.att)
 		switch st {
 		case allocOK:
-			copy(c.pool.arena[slot*PageSize:], data)
+			copy(c.pool.page(slot), data)
 			canon := c.pool.dedupPublish(slot, h)
 			c.insertPage(p, pageIdx, poolPage{slot: canon, len: len(data), shared: true})
 			return true, false

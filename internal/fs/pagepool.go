@@ -80,12 +80,31 @@ type dedupEntry struct {
 	refs int
 }
 
+// ChunkSlots is the arena's growth granule: the arena is a fixed-length
+// directory of chunks of ChunkSlots slots (ChunkBytes bytes), and a
+// chunk is allocated when the slot high-water mark first reaches it.
+// Slots are handed out lowest first, so an instance whose cache stays
+// small holds a few chunks instead of the whole arena. A page never
+// straddles two chunks, and a chunk never moves once allocated: grants
+// and kernel views alias it.
+const (
+	ChunkSlots = 64
+	ChunkBytes = ChunkSlots * PageSize
+)
+
+// arenaChunk is one allocated stretch of the arena.
+type arenaChunk struct{ b []byte }
+
 // pagePool is the slot allocator over the shared arena.
 type pagePool struct {
 	slots int
 
 	allocOnce sync.Once
-	arena     []byte // slots * PageSize bytes; allocated on first use
+	// chunks is the arena's chunk directory: its length is fixed by
+	// ensure, and each entry is published atomically when the chunk is
+	// allocated (under mu, by the allocation that first reaches it), so
+	// shards reading pages they hold never need the lock.
+	chunks []atomic.Pointer[arenaChunk]
 
 	// state holds each slot's lease word: pin count in the low 31 bits,
 	// slotFrozen in the top bit. Transitions are CAS-only, so pin and
@@ -140,11 +159,11 @@ func newPagePool(slots int) *pagePool {
 	return &pagePool{slots: slots, dedupAtt: -1}
 }
 
-// ensure allocates the arena on first use. The backing array is never
-// reallocated afterwards: kernel-side SAB views alias it.
+// ensure sets up the slot bookkeeping and the empty chunk directory on
+// first use; chunks themselves are allocated as slots are taken.
 func (pp *pagePool) ensure() {
 	pp.allocOnce.Do(func() {
-		pp.arena = make([]byte, pp.slots*PageSize)
+		pp.chunks = make([]atomic.Pointer[arenaChunk], (pp.slots+ChunkSlots-1)/ChunkSlots)
 		pp.state = make([]atomic.Uint32, pp.slots)
 		pp.owner = make([]int32, pp.slots)
 		for i := range pp.owner {
@@ -217,7 +236,57 @@ func (pp *pagePool) takeFreeLocked(att int) int {
 	pp.free = pp.free[:n-1]
 	pp.owner[slot] = int32(att)
 	pp.used[att]++
+	if c := &pp.chunks[slot/ChunkSlots]; c.Load() == nil {
+		first := slot / ChunkSlots * ChunkSlots
+		c.Store(&arenaChunk{b: make([]byte, min(ChunkSlots, pp.slots-first)*PageSize)})
+	}
 	return slot
+}
+
+// page returns slot's PageSize bytes of the arena, cap-clamped so no
+// append through it reaches a neighbouring slot. Every arena access goes
+// through here; the slot must have been allocated at least once.
+func (pp *pagePool) page(slot int) []byte {
+	c := pp.chunks[slot/ChunkSlots].Load()
+	o := slot % ChunkSlots * PageSize
+	return c.b[o : o+PageSize : o+PageSize]
+}
+
+// run returns the arena bytes [base, end) — byte offsets, as grants name
+// them — when they lie inside one chunk (a run of adjacent slots can be
+// aliased as one slice only there).
+func (pp *pagePool) run(base, end int) ([]byte, bool) {
+	if base/ChunkBytes != (end-1)/ChunkBytes {
+		return nil, false
+	}
+	c := pp.chunks[base/ChunkBytes].Load()
+	lo, hi := base%ChunkBytes, (end-1)%ChunkBytes+1
+	return c.b[lo:hi:hi], true
+}
+
+// hasChunk reports whether slot's chunk is allocated, so its bytes may
+// be addressed.
+func (pp *pagePool) hasChunk(slot int) bool {
+	return pp.chunks != nil && pp.chunks[slot/ChunkSlots].Load() != nil
+}
+
+// chunk returns chunk i's bytes (nil while unallocated).
+func (pp *pagePool) chunk(i int) []byte {
+	if c := pp.chunks[i].Load(); c != nil {
+		return c.b
+	}
+	return nil
+}
+
+// chunksAllocated counts allocated chunks (tests/diagnostics).
+func (pp *pagePool) chunksAllocated() int {
+	n := 0
+	for i := range pp.chunks {
+		if pp.chunks[i].Load() != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // freeSlot returns a slot to the free stack and uncharges its owner.
@@ -480,8 +549,7 @@ func (pp *pagePool) isDedup(slot int) bool {
 
 // data returns the live bytes of a slot's page.
 func (pp *pagePool) data(pg poolPage) []byte {
-	base := pg.slot * PageSize
-	return pp.arena[base : base+pg.len]
+	return pp.page(pg.slot)[:pg.len]
 }
 
 // poolPage is one cached page: a pool slot holding len content bytes
@@ -563,11 +631,14 @@ func (f *FileSystem) SetPagePool(p *PagePool, quotaSlots int) {
 	f.pc.att = p.pp.attach(quotaSlots)
 }
 
-// PagePoolBytes exposes the page-cache arena for sharing with processes
-// (the kernel wraps it in a SharedArrayBuffer). Forces allocation.
-func (f *FileSystem) PagePoolBytes() []byte {
-	f.pc.pool.ensure()
-	return f.pc.pool.arena
+// PagePoolChunks exposes the page-cache arena for sharing with processes
+// (the kernel wraps it in a chunked SharedArrayBuffer view): the arena's
+// size in bytes, and chunk i's ChunkBytes-sized region, nil until the
+// slot allocator first reaches it.
+func (f *FileSystem) PagePoolChunks() (size int, chunk func(i int) []byte) {
+	pp := f.pc.pool
+	pp.ensure()
+	return pp.slots * PageSize, pp.chunk
 }
 
 // UnleasePage returns one page lease; false if the slot held none.
@@ -656,8 +727,7 @@ func (s *ImageStore) Put(data []byte) (int, bool) {
 		// falls back exactly where the pre-dedup allocator failed.
 		return 0, false
 	}
-	base := slot * PageSize
-	copy(s.pp.arena[base:base+PageSize], page[:])
+	copy(s.pp.page(slot), page[:])
 	canon := s.pp.dedupPublish(slot, h)
 	s.pp.pin(canon)
 	return canon, true
@@ -666,8 +736,7 @@ func (s *ImageStore) Put(data []byte) (int, bool) {
 // Data returns a stored page's arena bytes (full page; the image tracks
 // content lengths). Callers must treat them as immutable.
 func (s *ImageStore) Data(slot int) []byte {
-	base := slot * PageSize
-	return s.pp.arena[base : base+PageSize]
+	return s.pp.page(slot)
 }
 
 // Pin takes one clone reference on an image page.

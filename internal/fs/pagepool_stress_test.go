@@ -61,11 +61,11 @@ func TestPagePoolConcurrentStress(t *testing.T) {
 			var owned []stressHeld
 
 			check := func(slot int, what string) {
-				base := slot * PageSize
+				page := pp.page(slot)
 				for i := 0; i < stressStamp; i++ {
-					if pp.arena[base+i] != stamp {
+					if page[i] != stamp {
 						t.Errorf("shard %d: slot %d byte %d = %d, want %d (%s)",
-							g, slot, i, pp.arena[base+i], stamp, what)
+							g, slot, i, page[i], stamp, what)
 						return
 					}
 				}
@@ -105,9 +105,9 @@ func TestPagePoolConcurrentStress(t *testing.T) {
 						t.Errorf("shard %d: alloc returned slot %d with pins=%d frozen=%v",
 							g, slot, n, pp.isFrozen(slot))
 					}
-					base := slot * PageSize
+					page := pp.page(slot)
 					for i := 0; i < stressStamp; i++ {
-						pp.arena[base+i] = stamp
+						page[i] = stamp
 					}
 					owned = append(owned, stressHeld{slot: slot})
 				case op < 65 && len(owned) > 0: // grant a lease
@@ -256,11 +256,11 @@ func TestPagePoolDedupStress(t *testing.T) {
 			var held []dedupHeld
 
 			verify := func(slot, pat int, what string) {
-				base := slot * PageSize
+				page := pp.page(slot)
 				for i := 0; i < stressStamp; i++ {
-					if pp.arena[base+i] != byte(pat+1) {
+					if page[i] != byte(pat+1) {
 						t.Errorf("shard %d: slot %d byte %d = %d, want pattern %d (%s)",
-							g, slot, i, pp.arena[base+i], pat+1, what)
+							g, slot, i, page[i], pat+1, what)
 						return
 					}
 				}
@@ -301,9 +301,9 @@ func TestPagePoolDedupStress(t *testing.T) {
 						}
 						continue
 					}
-					base := slot * PageSize
+					page := pp.page(slot)
 					for i := 0; i < stressStamp; i++ {
-						pp.arena[base+i] = byte(pat + 1)
+						page[i] = byte(pat + 1)
 					}
 					canon := pp.dedupPublish(slot, hashes[pat])
 					verify(canon, pat, "after publish") // loser adopts the winner's copy

@@ -54,8 +54,9 @@ func (e dirtyExtent) end() int64 { return e.off + int64(len(e.data)) }
 
 // dirtyFile is the buffered, not-yet-flushed state of one path.
 // Extents are ascending and disjoint; only slot adoption may leave two
-// file-adjacent extents side by side (a staged run crossing a slot
-// boundary) — the flusher coalesces those into one vectored write.
+// file-adjacent extents side by side (a staged run crossing into another
+// slot run or arena chunk) — the flusher coalesces those into one
+// vectored write.
 type dirtyFile struct {
 	extents []dirtyExtent
 	bytes   int64
@@ -127,17 +128,20 @@ func (df *dirtyFile) insert(off int64, data []byte) int64 {
 // caller buffer instead (WriteFileShared, cap-clamped by the caller),
 // which can only land as a new extent and is marked shared. Anything
 // else returns false and the caller merges through the copying insert.
-func (df *dirtyFile) insertOwned(off int64, data []byte, arenaEnd int, arena []byte) bool {
+func (df *dirtyFile) insertOwned(off int64, data []byte, arenaEnd int, pool *pagePool) bool {
 	if len(data) == 0 {
 		return false
 	}
 	e := df.extents
 	if n := len(e); n > 0 && off == e[n-1].end() &&
 		e[n-1].arenaEnd > 0 && e[n-1].arenaEnd == arenaEnd-len(data) {
-		base := e[n-1].arenaEnd - len(e[n-1].data)
-		e[n-1].data = arena[base:arenaEnd:arenaEnd]
-		e[n-1].arenaEnd = arenaEnd
-		return true
+		if run, ok := pool.run(e[n-1].arenaEnd-len(e[n-1].data), arenaEnd); ok {
+			e[n-1].data = run
+			e[n-1].arenaEnd = arenaEnd
+			return true
+		}
+		// The run would cross into the next arena chunk: start a new
+		// extent beside it, which the flush coalesces back into one run.
 	}
 	end := off + int64(len(data))
 	// idx is the first extent starting at or past end; with extents
@@ -581,13 +585,12 @@ func (h *writebackHandle) PwriteSlots(off int64, refs []SlotRef) (int, bool) {
 		pc.dirty[h.path] = df
 	}
 	df.dst = h.inner
-	arena := pc.pool.arena
 	total := 0
 	var delta int64
 	for _, r := range refs {
 		data := h.fs.SlotBytes(r)
 		arenaEnd := r.Slot*PageSize + r.Off + r.Len
-		if df.insertOwned(off+int64(total), data, arenaEnd, arena) {
+		if df.insertOwned(off+int64(total), data, arenaEnd, pc.pool) {
 			pc.pool.pin(r.Slot)
 			df.slots = append(df.slots, r.Slot)
 			delta += int64(r.Len)

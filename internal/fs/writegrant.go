@@ -69,8 +69,7 @@ func (f *FileSystem) AllocWriteSlots(n int) []int {
 // SlotBytes returns the live arena bytes a SlotRef names, cap-clamped so
 // no append through the slice can ever touch a neighbouring slot.
 func (f *FileSystem) SlotBytes(r SlotRef) []byte {
-	base := r.Slot*PageSize + r.Off
-	return f.pc.pool.arena[base : base+r.Len : base+r.Len]
+	return f.pc.pool.page(r.Slot)[r.Off : r.Off+r.Len : r.Off+r.Len]
 }
 
 // ValidSlotRef bounds-checks a wire-supplied reference against the
@@ -79,7 +78,7 @@ func (f *FileSystem) SlotBytes(r SlotRef) []byte {
 func (f *FileSystem) ValidSlotRef(r SlotRef) bool {
 	return r.Slot >= 0 && r.Slot < f.pc.pool.slots &&
 		r.Off >= 0 && r.Len > 0 && r.Off+r.Len <= PageSize &&
-		f.pc.pool.arena != nil
+		f.pc.pool.hasChunk(r.Slot)
 }
 
 // PinPage takes one kernel-internal pin on a slot — an adopter (pipe

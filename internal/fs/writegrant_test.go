@@ -26,7 +26,7 @@ func TestGrantGranuleLockstep(t *testing.T) {
 // stageInto writes payload into a staged slot through the arena mapping,
 // the way a guest would, and returns the reference naming it.
 func stageInto(f *FileSystem, slot int, off int, payload []byte) SlotRef {
-	copy(f.pc.pool.arena[slot*PageSize+off:], payload)
+	copy(f.pc.pool.page(slot)[off:], payload)
 	return SlotRef{Slot: slot, Off: off, Len: len(payload)}
 }
 

@@ -68,7 +68,7 @@ func TestPreadRefGrantsWarmPages(t *testing.T) {
 		if n := f.pc.pool.pinCount(r.Slot); n != 1 {
 			t.Fatalf("slot %d pins = %d, want 1", r.Slot, n)
 		}
-		got = append(got, f.pc.pool.arena[r.Off:r.Off+int64(r.Len)]...)
+		got = append(got, arenaAt(f, r)...)
 	}
 	if string(got) != content[100:100+PageSize+50] {
 		t.Fatalf("granted bytes differ from file content")
@@ -143,7 +143,7 @@ func TestLeaseFreezesDroppedPages(t *testing.T) {
 		t.Fatalf("PreadRef: ok=%v refs=%d", ok, len(refs))
 	}
 	r := refs[0]
-	snapshot := append([]byte(nil), f.pc.pool.arena[r.Off:r.Off+int64(r.Len)]...)
+	snapshot := append([]byte(nil), arenaAt(f, r)...)
 
 	// Gen-bumping invalidation while the lease is outstanding: the page
 	// detaches (no new grants) but the slot freezes.
@@ -158,7 +158,7 @@ func TestLeaseFreezesDroppedPages(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		f.pc.store(fmt.Sprintf("/churn%d", i), 0, bytes.Repeat([]byte{byte(i)}, PageSize), false)
 	}
-	if !bytes.Equal(f.pc.pool.arena[r.Off:r.Off+int64(r.Len)], snapshot) {
+	if !bytes.Equal(arenaAt(f, r), snapshot) {
 		t.Fatalf("frozen slot bytes changed under an outstanding lease")
 	}
 
@@ -192,7 +192,7 @@ func TestStoreNeverRewritesLeasedSlot(t *testing.T) {
 	if pg.slot == old.Slot {
 		t.Fatalf("store reused leased slot %d in place", old.Slot)
 	}
-	if !bytes.Equal(f.pc.pool.arena[old.Off:old.Off+int64(old.Len)], []byte(content)) {
+	if !bytes.Equal(arenaAt(f, old), []byte(content)) {
 		t.Fatalf("leased bytes rewritten by store")
 	}
 	f.UnleasePage(old.Slot)
@@ -311,4 +311,10 @@ func TestRangeReadaheadWindowGrowth(t *testing.T) {
 	if maxN < 8*int64(PageSize) || maxN <= first {
 		t.Fatalf("Range windows did not grow: first=%d max=%d (%v)", first, maxN, ff.ranges)
 	}
+}
+
+// arenaAt returns the arena bytes a page reference names.
+func arenaAt(f *FileSystem, r PageRef) []byte {
+	b, _ := f.pc.pool.run(int(r.Off), int(r.Off)+r.Len)
+	return b
 }

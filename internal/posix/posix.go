@@ -36,6 +36,9 @@ type Proc interface {
 	Open(path string, flags int, mode uint32) (int, abi.Errno)
 	Close(fd int) abi.Errno
 	Read(fd int, n int) ([]byte, abi.Errno)
+	// ReadInto is Read(fd, len(dst)) landing in the caller's buffer:
+	// it returns the count read into dst[:n] (0 at EOF).
+	ReadInto(fd int, dst []byte) (int, abi.Errno)
 	Write(fd int, b []byte) (int, abi.Errno)
 	Pread(fd int, n int, off int64) ([]byte, abi.Errno)
 	Pwrite(fd int, b []byte, off int64) (int, abi.Errno)

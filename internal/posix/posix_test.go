@@ -137,6 +137,11 @@ func (m *fakeProc) Read(fd, n int) ([]byte, abi.Errno) {
 	return b, abi.OK
 }
 
+func (m *fakeProc) ReadInto(fd int, dst []byte) (int, abi.Errno) {
+	b, err := m.Read(fd, len(dst))
+	return copy(dst, b), err
+}
+
 func (m *fakeProc) Write(fd int, b []byte) (int, abi.Errno) {
 	if m.shortW && len(b) > 1 {
 		m.wrote = append(m.wrote, b[0])

@@ -3,6 +3,7 @@ package posix
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/abi"
@@ -51,6 +52,25 @@ func ReadAll(p Proc, fd int) ([]byte, abi.Errno) {
 	}
 }
 
+// ReadAllInto reads fd to EOF, appending to buf, and returns the grown
+// buffer. It makes the same DefaultChunk reads as ReadAll, but each
+// lands in buf's spare capacity, so a caller that passes the previous
+// result back as buf[:0] reads without allocating once buf is large
+// enough.
+func ReadAllInto(p Proc, fd int, buf []byte) ([]byte, abi.Errno) {
+	for {
+		buf = slices.Grow(buf, DefaultChunk)
+		n, err := p.ReadInto(fd, buf[len(buf):len(buf)+DefaultChunk])
+		if err != abi.OK {
+			return buf, err
+		}
+		if n == 0 {
+			return buf, abi.OK
+		}
+		buf = buf[:len(buf)+n]
+	}
+}
+
 // ReadFile slurps a file by path.
 func ReadFile(p Proc, path string) ([]byte, abi.Errno) {
 	fd, err := p.Open(path, abi.O_RDONLY, 0)
@@ -59,6 +79,16 @@ func ReadFile(p Proc, path string) ([]byte, abi.Errno) {
 	}
 	defer p.Close(fd)
 	return ReadAll(p, fd)
+}
+
+// ReadFileInto is ReadFile appending to buf (see ReadAllInto).
+func ReadFileInto(p Proc, path string, buf []byte) ([]byte, abi.Errno) {
+	fd, err := p.Open(path, abi.O_RDONLY, 0)
+	if err != abi.OK {
+		return buf, err
+	}
+	defer p.Close(fd)
+	return ReadAllInto(p, fd, buf)
 }
 
 // WriteFile creates/truncates a file with contents.

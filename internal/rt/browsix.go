@@ -127,7 +127,7 @@ func (r *workerRT) onMessage(v browser.Value) {
 			r.sim.Charge(r.cost.InitNs)
 		}
 		if r.sync {
-			r.heap = browser.NewSAB(r.cost.HeapSize)
+			r.heap = r.sys.NewHeap(r.w, r.cost.HeapSize)
 			r.scratchTop = int64(r.heap.Len())
 		}
 		g := r.sim.NewG(r.w.Ctx.Sched(), r.prog.Name, func(any) {
@@ -459,18 +459,31 @@ func (p reply) extraAt(i int) browser.Value {
 	return nil
 }
 
-// data decodes replyData: the bytes read.
-func (p reply) data() ([]byte, abi.Errno) {
+// data decodes replyData: the bytes read, landed in dst (see into).
+func (p reply) data(dst []byte) ([]byte, abi.Errno) {
 	if p.err != abi.OK {
 		return nil, p.err
 	}
 	if !p.sync {
 		b, _ := p.extraAt(0).([]byte)
-		return b, abi.OK
+		if dst == nil {
+			return b, abi.OK
+		}
+		return dst[:copy(dst, b)], abi.OK
 	}
-	b := make([]byte, p.ret)
-	copy(b, p.out)
-	return b, abi.OK
+	out := into(dst, int(p.ret))
+	copy(out, p.out)
+	return out, abi.OK
+}
+
+// into is where a read of n bytes lands: the caller's buffer dst (which
+// the read request never exceeds), or a fresh n-byte slice when dst is
+// nil.
+func into(dst []byte, n int) []byte {
+	if dst == nil {
+		return make([]byte, n)
+	}
+	return dst[:n]
 }
 
 // str decodes replyStr.
@@ -620,7 +633,19 @@ func (r *workerRT) Close(fd int) abi.Errno {
 	return r.call(abi.SYS_close, fd).err
 }
 
-func (r *workerRT) Read(fd int, n int) ([]byte, abi.Errno) {
+func (r *workerRT) Read(fd int, n int) ([]byte, abi.Errno) { return r.read(fd, n, nil) }
+
+// ReadInto reads up to len(dst) bytes into the caller's buffer: the same
+// request, trap and charges as Read(fd, len(dst)), without a fresh
+// result slice.
+func (r *workerRT) ReadInto(fd int, dst []byte) (int, abi.Errno) {
+	b, err := r.read(fd, len(dst), dst)
+	return len(b), err
+}
+
+// read is the one read path behind Read and ReadInto: it requests n
+// bytes and the reply decoders land them in dst (into).
+func (r *workerRT) read(fd, n int, dst []byte) ([]byte, abi.Errno) {
 	if r.sync {
 		// A request larger than the scratch region degrades to a short
 		// read rather than overflowing the staging area. The zero-copy
@@ -631,11 +656,11 @@ func (r *workerRT) Read(fd int, n int) ([]byte, abi.Errno) {
 			bufLen = int(max)
 		}
 		if r.poolOK {
-			return r.readLeased(fd, n, bufLen)
+			return r.readLeased(fd, n, bufLen, dst)
 		}
 		n = bufLen
 	}
-	return r.call(abi.SYS_read, fd, readBuf(n)).data()
+	return r.call(abi.SYS_read, fd, readBuf(n)).data(dst)
 }
 
 func (r *workerRT) Write(fd int, b []byte) (int, abi.Errno) {
@@ -727,7 +752,7 @@ func (r *workerRT) Readv(fd int, lens []int) ([][]byte, abi.Errno) {
 		if max := r.maxScratchPayload(); int64(bufLen) > max {
 			bufLen = int(max)
 		}
-		b, err := r.readLeased(fd, total, bufLen)
+		b, err := r.readLeased(fd, total, bufLen, nil)
 		if err != abi.OK || len(b) == 0 {
 			return nil, err
 		}
@@ -830,7 +855,7 @@ func (r *workerRT) Writev(fd int, bufs [][]byte) (int64, abi.Errno) {
 }
 
 func (r *workerRT) Pread(fd int, n int, off int64) ([]byte, abi.Errno) {
-	return r.call(abi.SYS_pread, fd, readBuf(n), off).data()
+	return r.call(abi.SYS_pread, fd, readBuf(n), off).data(nil)
 }
 
 func (r *workerRT) Pwrite(fd int, b []byte, off int64) (int, abi.Errno) {

@@ -177,6 +177,12 @@ func (h *HostProc) Close(fd int) abi.Errno {
 	return abi.OK
 }
 
+// ReadInto implements posix.Proc over Read.
+func (h *HostProc) ReadInto(fd int, dst []byte) (int, abi.Errno) {
+	b, err := h.Read(fd, len(dst))
+	return copy(dst, b), err
+}
+
 func (h *HostProc) Read(fd int, n int) ([]byte, abi.Errno) {
 	f, ok := h.fds[fd]
 	if !ok {

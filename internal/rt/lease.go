@@ -122,8 +122,9 @@ const maxGrantsPerRead = 1024
 // kernel copies, and not bounded by the scratch staging region — a warm
 // multi-megabyte read is ONE kernel crossing); copied replies are
 // drained from the staging buffer, capped at bufLen, exactly like a
-// plain read — a short result POSIX permits.
-func (r *workerRT) readLeased(fd, want, bufLen int) ([]byte, abi.Errno) {
+// plain read — a short result POSIX permits. Either way the bytes land in
+// dst (into).
+func (r *workerRT) readLeased(fd, want, bufLen int, dst []byte) ([]byte, abi.Errno) {
 	maxGrants := abi.MaxGrantsFor(want)
 	if maxGrants > maxGrantsPerRead {
 		maxGrants = maxGrantsPerRead
@@ -152,7 +153,7 @@ func (r *workerRT) readLeased(fd, want, bufLen int) ([]byte, abi.Errno) {
 		if avail := r.scratchTop - base - 16; avail > 0 && int64(scalarBuf) > avail {
 			scalarBuf = int(avail)
 		}
-		return r.call(abi.SYS_read, fd, readBuf(scalarBuf)).data()
+		return r.call(abi.SYS_read, fd, readBuf(scalarBuf)).data(dst)
 	}
 	reqs := r.stageUnleases(nil)
 	bufPtr := r.alloc(int64(bufLen))
@@ -170,17 +171,16 @@ func (r *workerRT) readLeased(fd, want, bufLen int) ([]byte, abi.Errno) {
 	}
 	hb := r.heap.Bytes()
 	kind, grants := abi.UnpackGrantReply(hb[grantPtr : grantPtr+areaLen])
+	out := into(dst, int(total))
 	if kind != abi.GrantMapped {
-		out := make([]byte, total)
 		copy(out, hb[bufPtr:bufPtr+total])
 		return out, abi.OK
 	}
 	// Mapped reply: satisfy the guest buffer from the arena mapping —
 	// the bytes never crossed the kernel boundary.
-	pool := r.pool.Bytes()
-	out := make([]byte, 0, total)
+	at := 0
 	for _, g := range grants {
-		out = append(out, pool[g.Off:g.Off+int64(g.Len)]...)
+		at += copy(out[at:], r.pool.Slice(g.Off, int(g.Len)))
 		r.holdLease(fd, g)
 	}
 	return out, abi.OK

@@ -26,6 +26,7 @@ func (r *workerRT) negotiateRing() {
 	b := r.heap.Bytes()
 	r.reqRing = abi.NewRing(b[reqOff : reqOff+ringRegionSize])
 	r.repRing = abi.NewRing(b[repOff : repOff+ringRegionSize])
+	r.heap.MarkWritten(int(reqOff), 2*ringRegionSize)
 	r.reqRing.Reset()
 	r.repRing.Reset()
 	ret := r.asyncCall("ring", reqOff, int64(ringRegionSize), repOff, int64(ringRegionSize))

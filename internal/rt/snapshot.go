@@ -41,6 +41,7 @@ func (r *workerRT) restoreFromImage(img *snapshot.Image, tracker *snapshot.Track
 	// the same fiction the zero-copy grant path established — and pays
 	// per page only on first write (the tracker's COW fault).
 	img.CopyHeap(r.heap.Bytes())
+	r.heap.MarkWritten(0, img.HeapLen)
 
 	hlen := int64(r.heap.Len())
 	wantRing := img.RingOK && hlen >= int64(scratchBase+4*ringRegionSize)
@@ -66,6 +67,7 @@ func (r *workerRT) restoreFromImage(img *snapshot.Image, tracker *snapshot.Track
 		b := r.heap.Bytes()
 		r.reqRing = abi.NewRing(b[reqOff : reqOff+ringRegionSize])
 		r.repRing = abi.NewRing(b[repOff : repOff+ringRegionSize])
+		r.heap.MarkWritten(int(reqOff), 2*ringRegionSize)
 		r.reqRing.Reset()
 		r.repRing.Reset()
 	}

@@ -174,7 +174,6 @@ func (r *workerRT) writeStagedOnce(fd int, b []byte) (int, abi.Errno, bool) {
 	// Stage through the arena mapping and build the reference list. The
 	// guest-side copy into its own mapped pages is the write's only
 	// per-byte move — the kernel sees 12-byte references.
-	pool := r.pool.Bytes()
 	var refs []abi.WriteRef
 	staged := 0
 	for i := range ws.slots {
@@ -190,7 +189,7 @@ func (r *workerRT) writeStagedOnce(fd int, b []byte) (int, abi.Errno, bool) {
 		if take > space {
 			take = space
 		}
-		copy(pool[s.g.Off+int64(s.used):], b[staged:staged+take])
+		copy(r.pool.Slice(s.g.Off+int64(s.used), take), b[staged:staged+take])
 		refs = append(refs, abi.WriteRef{Slot: s.g.Slot, Off: uint32(s.used), Len: uint32(take)})
 		s.used += take
 		staged += take
@@ -321,7 +320,6 @@ func (r *workerRT) ReadBatch(fd, chunk, frames int) ([]byte, abi.Errno) {
 		rets, errs := r.ringCalls(reqs)
 		left -= len(areas)
 		hb := r.heap.Bytes()
-		pool := r.pool.Bytes()
 		for i, fa := range areas {
 			ret, err := rets[base+i], errs[base+i]
 			if err != abi.OK {
@@ -339,7 +337,7 @@ func (r *workerRT) ReadBatch(fd, chunk, frames int) ([]byte, abi.Errno) {
 			// queue them straight for return — a batch reader has no
 			// sequential re-read window to hold them open for.
 			for _, g := range grants {
-				out = append(out, pool[g.Off:g.Off+int64(g.Len)]...)
+				out = append(out, r.pool.Slice(g.Off, int(g.Len))...)
 				r.pendingUnlease = append(r.pendingUnlease, g.Slot)
 			}
 		}

@@ -17,6 +17,7 @@
 package tex
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -59,7 +60,8 @@ func pdflatexMain(p posix.Proc) int {
 		return texFail(p, "pdflatex", "no input file")
 	}
 	base := strings.TrimSuffix(job, ".tex")
-	src, err := posix.ReadFile(p, base+".tex")
+	rd := &texReader{p: p}
+	src, err := rd.read(base + ".tex")
 	if err != abi.OK {
 		return texFail(p, "pdflatex", "%s.tex: %v", base, err)
 	}
@@ -73,18 +75,17 @@ func pdflatexMain(p posix.Proc) int {
 
 	// Load the class and packages (transitively), reading each file from
 	// the TeX tree — these reads are what lazily pull files over HTTP.
-	loaded := map[string]bool{}
-	var loadOrder []string
-	var missing []string
+	ld := &loader{texReader: rd, loaded: map[string]bool{}, log: &log}
 	if doc.class != "" {
-		loadResource(p, "cls/"+doc.class+".cls", loaded, &loadOrder, &missing, &log)
+		ld.load("cls/" + doc.class + ".cls")
 	}
 	for _, pkg := range doc.packages {
-		loadResource(p, "sty/"+pkg+".sty", loaded, &loadOrder, &missing, &log)
+		ld.load("sty/" + pkg + ".sty")
 	}
 	for _, font := range doc.fonts {
-		loadResource(p, "fonts/"+font+".tfm", loaded, &loadOrder, &missing, &log)
+		ld.load("fonts/" + font + ".tfm")
 	}
+	loadOrder, missing := ld.order, ld.missing
 	if len(missing) > 0 {
 		fmt.Fprintf(&log, "! LaTeX Error: File `%s' not found.\n", missing[0])
 		posix.WriteString(p, abi.Stderr, "! LaTeX Error: File `"+missing[0]+"' not found.\n")
@@ -93,10 +94,12 @@ func pdflatexMain(p posix.Proc) int {
 	}
 
 	// Previous aux content decides the "rerun" warning.
-	oldAux, _ := posix.ReadFile(p, base+".aux")
+	oldAuxBytes, _ := rd.read(base + ".aux")
+	oldAux := string(oldAuxBytes)
 
 	// Bibliography: consume the .bbl produced by bibtex, if present.
-	bbl, bblErr := posix.ReadFile(p, base+".bbl")
+	bblBytes, bblErr := rd.read(base + ".bbl")
+	bbl := string(bblBytes)
 	undefined := false
 	if len(doc.cites) > 0 && bblErr != abi.OK {
 		undefined = true
@@ -117,14 +120,14 @@ func pdflatexMain(p posix.Proc) int {
 	}
 	// Rewrite the .aux only when its content changed — otherwise the
 	// pdflatex/bibtex Makefile dance never reaches a fixed point.
-	if string(oldAux) != aux.String() {
+	if oldAux != aux.String() {
 		if err := posix.WriteFile(p, base+".aux", []byte(aux.String()), 0o644); err != abi.OK {
 			return texFail(p, "pdflatex", "%s.aux: %v", base, err)
 		}
 	}
 
 	// Typeset: build the PDF bytes.
-	pdf := renderPDF(doc, string(bbl), loadOrder)
+	pdf := renderPDF(doc, bbl, loadOrder)
 	p.CPU(int64(len(pdf)) * pdfPerByteNs)
 	if err := posix.WriteFile(p, base+".pdf", pdf, 0o644); err != abi.OK {
 		return texFail(p, "pdflatex", "%s.pdf: %v", base, err)
@@ -132,7 +135,7 @@ func pdflatexMain(p posix.Proc) int {
 
 	pages := doc.pages()
 	fmt.Fprintf(&log, "Output written on %s.pdf (%d page(s), %d bytes).\n", base, pages, len(pdf))
-	if string(oldAux) != aux.String() || undefined {
+	if oldAux != aux.String() || undefined {
 		fmt.Fprintf(&log, "LaTeX Warning: Label(s) may have changed. Rerun to get cross-references right.\n")
 	}
 	posix.WriteFile(p, base+".log", []byte(log.String()), 0o644)
@@ -140,34 +143,72 @@ func pdflatexMain(p posix.Proc) int {
 	return 0
 }
 
-// loadResource reads one file from the TeX tree, following the
-// \RequirePackage lines inside .sty/.cls files (transitive dependencies).
-func loadResource(p posix.Proc, rel string, loaded map[string]bool, order *[]string, missing *[]string, log *strings.Builder) {
-	if loaded[rel] {
+// texReader reads whole files into one buffer it reuses: each read's
+// result is valid until the next read.
+type texReader struct {
+	p   posix.Proc
+	buf []byte
+}
+
+func (rd *texReader) read(path string) ([]byte, abi.Errno) {
+	var err abi.Errno
+	rd.buf, err = posix.ReadFileInto(rd.p, path, rd.buf[:0])
+	return rd.buf, err
+}
+
+// loader loads the class, packages and fonts a document needs from the
+// TeX tree, following the \RequirePackage and \LoadFont lines inside
+// .sty/.cls files (transitive dependencies), depth first.
+type loader struct {
+	*texReader
+	loaded  map[string]bool
+	order   []string // resources loaded, in load order
+	missing []string
+	log     *strings.Builder
+	deps    []string // dependency stack: each load's deps sit above its caller's
+}
+
+// load reads one resource, then loads the dependencies it names in the
+// order their lines appear. They are collected before any is loaded,
+// because loading one reuses the read buffer.
+func (ld *loader) load(rel string) {
+	if ld.loaded[rel] {
 		return
 	}
-	loaded[rel] = true
+	ld.loaded[rel] = true
 	path := TexRoot + "/" + rel
-	data, err := posix.ReadFile(p, path)
+	data, err := ld.read(path)
 	if err != abi.OK {
-		*missing = append(*missing, rel)
+		ld.missing = append(ld.missing, rel)
 		return
 	}
-	*order = append(*order, rel)
-	fmt.Fprintf(log, "(%s)\n", path)
+	ld.order = append(ld.order, rel)
+	fmt.Fprintf(ld.log, "(%s)\n", path)
 	if strings.HasSuffix(rel, ".tfm") {
-		p.CPU(int64(len(data)) * fontPerByteNs)
+		ld.p.CPU(int64(len(data)) * fontPerByteNs)
 		return
 	}
-	p.CPU(texPerPkgNs + int64(len(data))*20)
-	for _, line := range strings.Split(string(data), "\n") {
-		if dep, ok := cutMacro(line, "\\RequirePackage{"); ok {
-			loadResource(p, "sty/"+dep+".sty", loaded, order, missing, log)
+	ld.p.CPU(texPerPkgNs + int64(len(data))*20)
+	first := len(ld.deps)
+	for len(data) > 0 {
+		line := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			line, data = data[:i], data[i+1:]
+		} else {
+			data = nil
 		}
-		if font, ok := cutMacro(line, "\\LoadFont{"); ok {
-			loadResource(p, "fonts/"+font+".tfm", loaded, order, missing, log)
+		if dep, ok := cutMacroBytes(line, "\\RequirePackage{"); ok {
+			ld.deps = append(ld.deps, "sty/"+string(dep)+".sty")
+		}
+		if font, ok := cutMacroBytes(line, "\\LoadFont{"); ok {
+			ld.deps = append(ld.deps, "fonts/"+string(font)+".tfm")
 		}
 	}
+	last := len(ld.deps)
+	for i := first; i < last; i++ {
+		ld.load(ld.deps[i])
+	}
+	ld.deps = ld.deps[:first]
 }
 
 // texDoc is the parsed document structure.
@@ -260,6 +301,18 @@ func cutMacro(line, prefix string) (string, bool) {
 	return "", false
 }
 
+// cutMacroBytes is cutMacro over a line of a read buffer.
+func cutMacroBytes(line []byte, prefix string) ([]byte, bool) {
+	if len(line) < len(prefix) || string(line[:len(prefix)]) != prefix {
+		return nil, false
+	}
+	rest := line[len(prefix):]
+	if i := bytes.IndexByte(rest, '}'); i >= 0 {
+		return rest[:i], true
+	}
+	return nil, false
+}
+
 // renderPDF produces structurally plausible PDF bytes whose size scales
 // with the document.
 func renderPDF(d *texDoc, bbl string, resources []string) []byte {
@@ -291,7 +344,8 @@ func bibtexMain(p posix.Proc) int {
 		return texFail(p, "bibtex", "no aux file")
 	}
 	base := strings.TrimSuffix(args[len(args)-1], ".aux")
-	aux, err := posix.ReadFile(p, base+".aux")
+	rd := &texReader{p: p}
+	aux, err := rd.read(base + ".aux")
 	if err != abi.OK {
 		return texFail(p, "bibtex", "%s.aux: %v", base, err)
 	}
@@ -316,7 +370,7 @@ func bibtexMain(p posix.Proc) int {
 		posix.WriteFile(p, base+".blg", []byte(blg.String()), 0o644)
 		return 2
 	}
-	bib, err := posix.ReadFile(p, bibdata+".bib")
+	bib, err := rd.read(bibdata + ".bib")
 	if err != abi.OK {
 		return texFail(p, "bibtex", "%s.bib: %v", bibdata, err)
 	}
